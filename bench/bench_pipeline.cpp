@@ -68,7 +68,7 @@ int main(int argc, char** argv) try {
   std::vector<Tensor<std::int32_t>> seq_outputs(images.size());
   std::vector<std::vector<arch::RunStats>> seq_stats(
       images.size(), std::vector<arch::RunStats>(stack.size()));
-  double seq_ms = 0.0;
+  double seq_ms = 0.0, seq_wall_ms = 0.0;
   for (int r = 0; r < reps; ++r) {
     const auto t0 = Clock::now();
     for (std::size_t k = 0; k < images.size(); ++k) {
@@ -83,8 +83,10 @@ int main(int argc, char** argv) try {
     }
     const double t_ms = ms_since(t0);
     seq_ms = r == 0 ? t_ms : std::min(seq_ms, t_ms);
+    seq_wall_ms += t_ms;
   }
-  entries.push_back({"BM_SequentialPerImage_n" + std::to_string(images_n), seq_ms, reps});
+  entries.push_back(
+      {"BM_SequentialPerImage_n" + std::to_string(images_n), seq_ms, reps, seq_wall_ms});
 
   // ---- After: program once, stream the batch ------------------------------
   const auto t_prog = Clock::now();
@@ -103,10 +105,11 @@ int main(int argc, char** argv) try {
   opts.threads = threads;
   opts.check = false;
   sim::StreamingBatchResult streamed;
-  double stream_ms = 0.0;
+  double stream_ms = 0.0, stream_wall_ms = 0.0;
   for (int r = 0; r < reps; ++r) {
     auto res = executor.stream(images, opts);
     const double t_ms = res.wall_ms;
+    stream_wall_ms += t_ms;
     if (r == 0 || t_ms < stream_ms) {
       stream_ms = t_ms;
       streamed = std::move(res);
@@ -114,15 +117,17 @@ int main(int argc, char** argv) try {
   }
   entries.push_back({"BM_StreamingPipelined_n" + std::to_string(images_n) + "_t" +
                          std::to_string(threads),
-                     stream_ms, reps});
+                     stream_ms, reps, stream_wall_ms});
 
-  double layer_major_ms = 0.0;
+  double layer_major_ms = 0.0, layer_major_wall_ms = 0.0;
   for (int r = 0; r < reps; ++r) {
     const auto res = executor.stream_layer_major(images, opts);
     const double t_ms = res.wall_ms;
     layer_major_ms = r == 0 ? t_ms : std::min(layer_major_ms, t_ms);
+    layer_major_wall_ms += t_ms;
   }
-  entries.push_back({"BM_StreamingLayerMajor_n" + std::to_string(images_n), layer_major_ms, reps});
+  entries.push_back({"BM_StreamingLayerMajor_n" + std::to_string(images_n), layer_major_ms,
+                     reps, layer_major_wall_ms});
 
   // ---- Gate 1: streaming must be bit-identical to the sequential chain ----
   // (checked against both the gated run and the unchecked timed run, which

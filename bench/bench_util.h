@@ -9,10 +9,6 @@
 #include <string>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
-
 #include "red/common/log.h"
 #include "red/report/json.h"
 #include "red/store/io.h"
@@ -34,31 +30,15 @@ inline double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-/// One timed benchmark row of a BENCH_*.json report.
+/// One timed benchmark row of a BENCH_*.json report. Rows carry no memory
+/// column: the process-wide peak RSS is one high-water mark for the whole
+/// run, so it cannot be attributed to a row.
 struct Entry {
   std::string name;
   double real_time_ms = 0.0;    ///< best (minimum) time over `iterations` runs
   std::int64_t iterations = 1;  ///< timed repetitions real_time_ms is the best of
   double wall_ms = -1.0;        ///< total wall-clock across all runs (< 0: unrecorded -> null)
-  std::int64_t peak_rss_bytes = -1;  ///< < 0: stamped from the platform at emit time
 };
-
-/// Peak resident set size of this process in bytes, or -1 where the platform
-/// cannot report it. Monotonic over the process lifetime (it is a high-water
-/// mark), so a reading at emit time bounds every entry in the report.
-inline std::int64_t peak_rss_bytes() {
-#if defined(__unix__) || defined(__APPLE__)
-  rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return -1;
-#if defined(__APPLE__)
-  return static_cast<std::int64_t>(usage.ru_maxrss);  // bytes on macOS
-#else
-  return static_cast<std::int64_t>(usage.ru_maxrss) * 1024;  // kilobytes on Linux
-#endif
-#else
-  return -1;
-#endif
-}
 
 /// Durably write a finished BENCH_*.json document (temp + fsync + rename via
 /// store::write_file_atomic): a bench killed mid-emit can never leave a torn
@@ -77,22 +57,15 @@ inline bool write_report_file(const std::string& path, const std::string& conten
 }
 
 /// Emit the `"benchmarks": [...]` array (without the key) to `os`, doubles
-/// at full round-trip precision via report::json_number. Every row carries
-/// memory alongside time: `peak_rss_bytes` is stamped from the platform's
-/// high-water mark at emit time when the bench did not record one, `null`
-/// where the platform can't report RSS; `wall_ms` is the entry's total
-/// wall-clock when recorded, `null` otherwise.
+/// at full round-trip precision via report::json_number. `wall_ms` is the
+/// entry's total wall-clock when recorded, `null` otherwise.
 inline void write_benchmark_array(std::ostream& os, const std::vector<Entry>& entries) {
-  const std::int64_t emit_rss = peak_rss_bytes();
   os << "[\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    const std::int64_t rss = entries[i].peak_rss_bytes >= 0 ? entries[i].peak_rss_bytes : emit_rss;
     os << "    {\"name\": \"" << entries[i].name << "\", \"real_time_ms\": "
        << report::json_number(entries[i].real_time_ms)
        << ", \"iterations\": " << entries[i].iterations << ", \"wall_ms\": "
-       << (entries[i].wall_ms >= 0.0 ? report::json_number(entries[i].wall_ms) : "null")
-       << ", \"peak_rss_bytes\": "
-       << (rss >= 0 ? report::json_number(static_cast<double>(rss)) : "null") << "}"
+       << (entries[i].wall_ms >= 0.0 ? report::json_number(entries[i].wall_ms) : "null") << "}"
        << (i + 1 < entries.size() ? ",\n" : "\n");
   }
   os << "  ]";

@@ -59,12 +59,13 @@ struct DesignConfig {
   /// typically ~0.5). Scales the data-dependent energy terms analytically;
   /// the structural latency (cycles) is unaffected.
   double activation_sparsity = 0.0;
-  /// Worker lanes for the tiled functional run() paths — zero-padding, conv
-  /// engine, and RED group execution (1 = serial; the padding-free scatter is
-  /// inherently serial and ignores this). Tiles/groups are executed on the
-  /// process-wide perf::ThreadPool and per-lane stats are merged
-  /// deterministically after the join, so any thread count produces
-  /// bit-identical outputs and RunStats.
+  /// Worker lanes for the unprogrammed Design::run paths only — zero-padding
+  /// row tiles, conv-engine tiles, and RED mode groups (1 = serial; the
+  /// padding-free scatter is inherently serial and ignores this). Programmed
+  /// layers ignore it: their lane budget is the `threads` argument of
+  /// ProgrammedLayer::run / run_batch. Tiles/groups run on the process-wide
+  /// perf::ThreadPool and per-lane stats are merged deterministically after
+  /// the join, so any thread count produces bit-identical outputs and RunStats.
   int threads = 1;
   xbar::TilingConfig tiling;       ///< subarray geometry for tiled mode
   /// Assumed fault environment + mitigation provision (red/fault). The model
@@ -148,18 +149,24 @@ class ProgrammedLayer {
   ProgrammedLayer& operator=(const ProgrammedLayer&) = delete;
 
   /// Execute on the programmed crossbars. Outputs and RunStats are
-  /// bit-identical to Design::run(spec, input, kernel, stats).
+  /// bit-identical to Design::run(spec, input, kernel, stats). `threads` is
+  /// the lane budget (>= 1): the input bind and the group (RED) or output-row
+  /// (zero-padding) walk are split into up to `threads` contiguous chunks on
+  /// the process-wide perf::ThreadPool, and per-chunk stats are merged in
+  /// chunk order, so every budget gives bit-identical results.
   [[nodiscard]] virtual Tensor<std::int32_t> run(const Tensor<std::int32_t>& input,
-                                                 RunStats* stats = nullptr) const = 0;
+                                                 RunStats* stats = nullptr,
+                                                 int threads = 1) const = 0;
 
   /// Batch entry point: stream `inputs` through the programmed crossbars
   /// back to back. outputs[k] — and, when `stats` is non-null, (*stats)[k]
   /// (resized to inputs.size()) — are bit-identical to run(inputs[k]) called
   /// in sequence; the crossbars are programmed exactly once either way. The
-  /// default walks run() per image; overrides may amortize further.
+  /// default walks run(inputs[k], ..., threads) per image; overrides may
+  /// amortize further.
   [[nodiscard]] virtual std::vector<Tensor<std::int32_t>> run_batch(
-      std::span<const Tensor<std::int32_t>> inputs,
-      std::vector<RunStats>* stats = nullptr) const;
+      std::span<const Tensor<std::int32_t>> inputs, std::vector<RunStats>* stats = nullptr,
+      int threads = 1) const;
 
   /// Sibling layer with `var` applied to the clean programmed levels. Only
   /// valid on a variation-free instance (the one Design::program returns).

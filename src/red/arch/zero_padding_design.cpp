@@ -54,28 +54,37 @@ struct ZpProgram {
   ZpProgram(DesignConfig c, const nn::DeconvLayerSpec& s)
       : cfg(std::move(c)), spec(s), rows(std::int64_t{s.kh} * s.kw * s.c) {}
 
-  std::shared_ptr<const BoundInput> bind(const Tensor<std::int32_t>& input) const {
+  /// Gather the padded windows of `input` (or return the cached binding when
+  /// it is the same tensor), output rows chunked over `threads` lanes.
+  /// Serialized: concurrent first callers wait while one builds.
+  std::shared_ptr<const BoundInput> bind(const Tensor<std::int32_t>& input, int threads) const {
     std::lock_guard<std::mutex> lock(mu);
     if (bound != nullptr && bound->input == input) return bound;
+    // Release the stale binding before building its successor, so at most
+    // one is resident (a run still holding it keeps it alive until it ends).
+    bound.reset();
     auto b = std::make_shared<BoundInput>();
     b->input = input;
     const Tensor<std::int32_t> padded = nn::zero_pad_input(spec, input);
     const int oh = spec.oh(), ow = spec.ow();
     const std::int64_t pw = padded.shape().dim(3);
     b->windows.assign(static_cast<std::size_t>(std::int64_t{oh} * ow * rows), 0);
-    for (std::int64_t y = 0; y < oh; ++y)
-      for (int x = 0; x < ow; ++x) {
-        std::int32_t* window = b->windows.data() + (y * ow + x) * rows;
-        for (int c = 0; c < spec.c; ++c) {
-          const std::int32_t* plane = padded.ptr(0, c);
-          for (int i = 0; i < spec.kh; ++i) {
-            const std::int32_t* prow = plane + (y + i) * pw + x;
-            for (int j = 0; j < spec.kw; ++j)
-              window[static_cast<std::size_t>((std::int64_t{i} * spec.kw + j) * spec.c + c)] =
-                  prow[j];
+    perf::parallel_chunks(perf::chunk_count(threads, oh), oh,
+                          [&](std::int64_t, std::int64_t y0, std::int64_t y1) {
+      for (std::int64_t y = y0; y < y1; ++y)
+        for (int x = 0; x < ow; ++x) {
+          std::int32_t* window = b->windows.data() + (y * ow + x) * rows;
+          for (int c = 0; c < spec.c; ++c) {
+            const std::int32_t* plane = padded.ptr(0, c);
+            for (int i = 0; i < spec.kh; ++i) {
+              const std::int32_t* prow = plane + (y + i) * pw + x;
+              for (int j = 0; j < spec.kw; ++j)
+                window[static_cast<std::size_t>((std::int64_t{i} * spec.kw + j) * spec.c + c)] =
+                    prow[j];
+            }
           }
         }
-      }
+    });
     bound = b;
     return b;
   }
@@ -86,10 +95,12 @@ class ZpProgrammedLayer final : public ProgrammedLayer {
   ZpProgrammedLayer(std::shared_ptr<const ZpProgram> prog, xbar::LogicalXbar macro)
       : prog_(std::move(prog)), macro_(std::move(macro)) {}
 
-  Tensor<std::int32_t> run(const Tensor<std::int32_t>& input, RunStats* stats) const override {
+  Tensor<std::int32_t> run(const Tensor<std::int32_t>& input, RunStats* stats,
+                           int threads) const override {
     const auto& spec = prog_->spec;
     RED_EXPECTS(input.shape() == spec.input_shape());
-    const auto bound = prog_->bind(input);
+    RED_EXPECTS(threads >= 1);
+    const auto bound = prog_->bind(input, threads);
     const int oh = spec.oh(), ow = spec.ow();
     const std::int64_t rows = prog_->rows;
     const std::int64_t out_plane = std::int64_t{oh} * ow;
@@ -97,7 +108,7 @@ class ZpProgrammedLayer final : public ProgrammedLayer {
     Tensor<std::int32_t> out(spec.output_shape());
     // Same output-row tiling as ZeroPaddingDesign::run, but each tile runs
     // its pixels as one batched MVM over the pre-gathered windows.
-    const std::int64_t tiles = perf::chunk_count(prog_->cfg.threads, oh);
+    const std::int64_t tiles = perf::chunk_count(threads, oh);
     std::vector<RunStats> tile_stats(static_cast<std::size_t>(tiles));
     perf::parallel_chunks(tiles, oh, [&](std::int64_t t, std::int64_t y0, std::int64_t y1) {
       RunStats& local = tile_stats[static_cast<std::size_t>(t)];

@@ -73,36 +73,44 @@ struct RedProgram {
         schedule(s, fold, cfg.lookahead_h, cfg.lookaside_d, std::move(groups)) {}
 
   /// Gather the per-cycle group inputs of `input` (or return the cached
-  /// binding when it is the same tensor). Serialized: concurrent first
-  /// callers wait while one builds.
-  std::shared_ptr<const BoundInput> bind(const Tensor<std::int32_t>& input) const {
+  /// binding when it is the same tensor), groups chunked over `threads`
+  /// lanes. Serialized: concurrent first callers wait while one builds.
+  std::shared_ptr<const BoundInput> bind(const Tensor<std::int32_t>& input, int threads) const {
     std::lock_guard<std::mutex> lock(mu);
     if (bound != nullptr && bound->input == input) return bound;
+    // Release the stale binding before building its successor, so at most
+    // one is resident (a run still holding it keeps it alive until it ends).
+    bound.reset();
     auto b = std::make_shared<BoundInput>();
     b->input = input;
     const auto& groups = schedule.groups();
     const std::int64_t num_cycles = schedule.num_cycles();
+    const auto num_groups = static_cast<std::int64_t>(groups.size());
     b->group_inputs.resize(groups.size());
     b->group_meta.resize(groups.size());
-    GroupWork work;
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-      const std::int64_t rows = static_cast<std::int64_t>(groups[gi].scs.size()) * spec.c;
-      auto& gin = b->group_inputs[gi];
-      gin.assign(static_cast<std::size_t>(num_cycles * rows), 0);
-      auto& gm = b->group_meta[gi];
-      gm.resize(static_cast<std::size_t>(num_cycles));
-      for (std::int64_t ci = 0; ci < num_cycles; ++ci) {
-        schedule.group_work(ci, static_cast<int>(gi), work);
-        std::int32_t* dst = gin.data() + ci * rows;
-        for (const auto& in : work.inputs) {
-          if (!in.active) continue;  // zero-skip: padded zeros are never streamed
-          for (int c = 0; c < spec.c; ++c)
-            dst[static_cast<std::size_t>(in.sc_index) * spec.c + static_cast<std::size_t>(c)] =
-                input.ptr(0, c)[std::int64_t{in.h} * spec.iw + in.w];
+    perf::parallel_chunks(perf::chunk_count(threads, num_groups), num_groups,
+                          [&](std::int64_t, std::int64_t g0, std::int64_t g1) {
+      GroupWork work;
+      for (std::int64_t gi = g0; gi < g1; ++gi) {
+        const auto g = static_cast<std::size_t>(gi);
+        const std::int64_t rows = static_cast<std::int64_t>(groups[g].scs.size()) * spec.c;
+        auto& gin = b->group_inputs[g];
+        gin.assign(static_cast<std::size_t>(num_cycles * rows), 0);
+        auto& gm = b->group_meta[g];
+        gm.resize(static_cast<std::size_t>(num_cycles));
+        for (std::int64_t ci = 0; ci < num_cycles; ++ci) {
+          schedule.group_work(ci, static_cast<int>(gi), work);
+          std::int32_t* dst = gin.data() + ci * rows;
+          for (const auto& in : work.inputs) {
+            if (!in.active) continue;  // zero-skip: padded zeros are never streamed
+            for (int c = 0; c < spec.c; ++c)
+              dst[static_cast<std::size_t>(in.sc_index) * spec.c + static_cast<std::size_t>(c)] =
+                  input.ptr(0, c)[std::int64_t{in.h} * spec.iw + in.w];
+          }
+          gm[static_cast<std::size_t>(ci)] = {work.out_y, work.out_x, work.produces_output};
         }
-        gm[static_cast<std::size_t>(ci)] = {work.out_y, work.out_x, work.produces_output};
       }
-    }
+    });
     bound = b;
     return b;
   }
@@ -114,11 +122,12 @@ class RedProgrammedLayer final : public arch::ProgrammedLayer {
                      std::vector<xbar::LogicalXbar> xbars)
       : prog_(std::move(prog)), xbars_(std::move(xbars)) {}
 
-  Tensor<std::int32_t> run(const Tensor<std::int32_t>& input,
-                           arch::RunStats* stats) const override {
+  Tensor<std::int32_t> run(const Tensor<std::int32_t>& input, arch::RunStats* stats,
+                           int threads) const override {
     const auto& spec = prog_->spec;
     RED_EXPECTS(input.shape() == spec.input_shape());
-    const auto bound = prog_->bind(input);
+    RED_EXPECTS(threads >= 1);
+    const auto bound = prog_->bind(input, threads);
     const auto& schedule = prog_->schedule;
     const std::int64_t num_cycles = schedule.num_cycles();
     const int num_groups = static_cast<int>(schedule.groups().size());
@@ -128,7 +137,7 @@ class RedProgrammedLayer final : public arch::ProgrammedLayer {
     Tensor<std::int32_t> out(spec.output_shape());
     // Same chunked group walk as RedDesign::run, but each group executes its
     // whole cycle sequence as one batched MVM over the pre-gathered inputs.
-    const std::int64_t chunks = perf::chunk_count(prog_->cfg.threads, num_groups);
+    const std::int64_t chunks = perf::chunk_count(threads, num_groups);
     std::vector<arch::RunStats> chunk_stats(static_cast<std::size_t>(chunks));
     perf::parallel_chunks(chunks, num_groups, [&](std::int64_t t, std::int64_t g0,
                                                   std::int64_t g1) {
@@ -157,7 +166,7 @@ class RedProgrammedLayer final : public arch::ProgrammedLayer {
                   static_cast<std::int32_t>(group_acc[static_cast<std::size_t>(m)]);
         }
       }
-    });
+    }, "red.group_chunk");
     arch::RunStats local;
     for (const auto& cs : chunk_stats) local += cs;
     local.cycles = num_cycles;  // cycles are a schedule property, counted once

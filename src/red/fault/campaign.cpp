@@ -120,12 +120,11 @@ std::vector<FaultCampaignPoint> run_fault_campaign(
   policy.validate();
 
   // Program the clean layer once: it is both the injection substrate and the
-  // fault-free oracle. Trials are the parallel axis, so the inner runs stay
-  // serial regardless of what base_cfg requested.
+  // fault-free oracle. Trials are the parallel axis, so each trial runs its
+  // programmed layer on a budget of one lane.
   arch::DesignConfig clean_cfg = base_cfg;
   clean_cfg.quant.variation = {};
   clean_cfg.fault = {};
-  clean_cfg.threads = 1;
   const auto design = core::make_design(kind, clean_cfg);
   const auto programmed = design->program(spec, kernel);
   if (programmed == nullptr)
@@ -187,7 +186,6 @@ std::vector<FaultCampaignPoint> run_fault_campaign_stack(
   arch::DesignConfig clean_cfg = base_cfg;
   clean_cfg.quant.variation = {};
   clean_cfg.fault = {};
-  clean_cfg.threads = 1;
   const sim::StreamingExecutor clean(kind, clean_cfg, stack, kernels);
   // faulted() throws ConfigError when any stage lacks the programmed path.
   const sim::StreamingOptions run_opts{/*threads=*/1, /*check=*/false};

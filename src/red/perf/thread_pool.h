@@ -15,6 +15,8 @@
 #include <functional>
 #include <memory>
 
+#include "red/telemetry/tracer.h"
+
 namespace red::perf {
 
 class ThreadPool {
@@ -63,9 +65,17 @@ inline std::int64_t chunk_count(int threads, std::int64_t items) {
 /// the shared pool. The determinism idiom every call site follows: pre-size
 /// per-slot state with the same `chunks`, write only into slot `t` inside
 /// fn, and reduce after the join in slot order — bit-exact for any count.
+/// A non-null `span_name` (a static string) records one trace span per
+/// chunk, so a trace shows how the work split across lanes.
 template <typename Fn>
-void parallel_chunks(std::int64_t chunks, std::int64_t items, Fn&& fn) {
+void parallel_chunks(std::int64_t chunks, std::int64_t items, Fn&& fn,
+                     const char* span_name = nullptr) {
   parallel_for_shared(chunks, [&](std::int64_t t) {
+    if (span_name == nullptr) {
+      fn(t, items * t / chunks, items * (t + 1) / chunks);
+      return;
+    }
+    const telemetry::ScopedSpan span(span_name, "perf");
     fn(t, items * t / chunks, items * (t + 1) / chunks);
   });
 }

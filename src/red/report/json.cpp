@@ -317,9 +317,14 @@ class JsonParser {
     JsonValue v;
     switch (peek()) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (depth_ == kMaxJsonDepth)
+          fail("nesting deeper than " + std::to_string(kMaxJsonDepth) + " levels");
+        ++depth_;
+        v = s_[pos_] == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"':
         v.type = JsonValue::Type::kString;
         v.text = parse_string();
@@ -450,6 +455,7 @@ class JsonParser {
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays/objects currently open
 };
 
 nn::DeconvLayerSpec spec_from_json(const JsonValue& v) {

@@ -81,8 +81,14 @@ struct JsonValue {
   void require(Type t, const char* what) const;
 };
 
+/// Deepest array/object nesting parse_json accepts. Every document this repo
+/// writes nests a handful of levels; the bound keeps a hostile file from
+/// overflowing the stack of the recursive-descent parser.
+inline constexpr int kMaxJsonDepth = 256;
+
 /// Parse a complete JSON document. Throws ConfigError (with the byte offset)
-/// on malformed input or trailing characters.
+/// on malformed input, trailing characters, or nesting deeper than
+/// kMaxJsonDepth.
 [[nodiscard]] JsonValue parse_json(const std::string& text);
 
 /// One cost report as a JSON object (per-component arrays + totals).

@@ -42,11 +42,9 @@ std::vector<MonteCarloResult> run_monte_carlo_grid(
   for (const auto& var : vars) var.validate();
 
   // Program the clean base once for the whole grid; trials are the parallel
-  // axis, so the inner design runs stay serial regardless of what base_cfg
-  // requested.
+  // axis, so each trial runs its programmed layer on a budget of one lane.
   arch::DesignConfig clean_cfg = base_cfg;
   clean_cfg.quant.variation = {};
-  clean_cfg.threads = 1;
   const auto design = core::make_design(kind, clean_cfg);
   const auto programmed = design->program(spec, kernel);
 

@@ -31,21 +31,6 @@ std::uint64_t ns_since(Clock::time_point t0) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0).count());
 }
 
-/// Static span names per pipeline stage: trace recording never allocates, so
-/// stage identity comes from a fixed literal table (deep stacks share a
-/// tail bucket).
-const char* stage_span_name(std::size_t stage) {
-  static constexpr const char* kNames[] = {
-      "streaming.stage[0]",  "streaming.stage[1]",  "streaming.stage[2]",
-      "streaming.stage[3]",  "streaming.stage[4]",  "streaming.stage[5]",
-      "streaming.stage[6]",  "streaming.stage[7]",  "streaming.stage[8]",
-      "streaming.stage[9]",  "streaming.stage[10]", "streaming.stage[11]",
-      "streaming.stage[12]", "streaming.stage[13]", "streaming.stage[14]",
-      "streaming.stage[15]"};
-  constexpr std::size_t kKnown = sizeof(kNames) / sizeof(kNames[0]);
-  return stage < kKnown ? kNames[stage] : "streaming.stage[16+]";
-}
-
 }  // namespace
 
 double StreamingBatchResult::fill_ms() const {
@@ -96,6 +81,8 @@ StreamingExecutor::StreamingExecutor(plan::StackPlan stack_plan,
 
   design_ = core::make_design(plan_.kind, plan_.cfg);
   design_name_ = design_->name();
+  // Span names must outlive every trace, and recording must not allocate.
+  for (const auto& spec : stack_) span_names_.push_back(telemetry::intern(spec.name));
 
   // Pay-once programming, consuming each stage's compiled plan. A
   // variation-enabled config must program per run (Design::program requires
@@ -126,6 +113,7 @@ std::unique_ptr<StreamingExecutor> StreamingExecutor::faulted(
   out->kernels_ = kernels_;
   out->design_ = core::make_design(plan_.kind, plan_.cfg);
   out->design_name_ = design_name_;
+  out->span_names_ = span_names_;
   out->programmed_.resize(programmed_.size());
   if (reports != nullptr) reports->assign(programmed_.size(), {});
   for (std::size_t i = 0; i < programmed_.size(); ++i) {
@@ -156,17 +144,18 @@ void StreamingExecutor::check_stage(std::size_t stage, const Tensor<std::int32_t
 
 Tensor<std::int32_t> StreamingExecutor::run_stage(std::size_t stage,
                                                   const Tensor<std::int32_t>& input,
-                                                  arch::RunStats& stats, bool check,
+                                                  arch::RunStats& stats,
+                                                  const StreamingOptions& opts,
                                                   std::int64_t image) const {
   // Observe-only instrumentation: one branch each when no sink is installed.
-  telemetry::ScopedSpan span(stage_span_name(stage), "sim");
+  telemetry::ScopedSpan span(span_names_[stage], "sim");
   auto* m = telemetry::metrics();
   const Clock::time_point t0 = m != nullptr ? Clock::now() : Clock::time_point{};
   Tensor<std::int32_t> out =
       programmed_[stage] != nullptr
-          ? programmed_[stage]->run(input, &stats)
+          ? programmed_[stage]->run(input, &stats, opts.threads)
           : design_->run(stack_[stage], input, kernels_[stage], &stats);
-  if (check) check_stage(stage, input, stats, image);
+  if (opts.check) check_stage(stage, input, stats, image);
   if (m != nullptr) {
     m->counter("streaming.cells")->add(1);
     m->histogram("streaming.stage_latency_ns")->record(ns_since(t0));
@@ -218,8 +207,7 @@ StreamingBatchResult StreamingExecutor::stream(const std::vector<Tensor<std::int
               const Tensor<std::int32_t>& in =
                   i == 0 ? images[static_cast<std::size_t>(k)] : wave_in[i];
               Tensor<std::int32_t> out = run_stage(
-                  i, in, result.images[static_cast<std::size_t>(k)].layer_stats[i],
-                  opts.check, k);
+                  i, in, result.images[static_cast<std::size_t>(k)].layer_stats[i], opts, k);
               if (i + 1 < depth)
                 staged[i + 1] = requantize_activations(out, plan_.cfg.quant.abits);
               else
@@ -267,14 +255,14 @@ StreamingBatchResult StreamingExecutor::stream_layer_major(
   const auto t_start = Clock::now();
   std::vector<Tensor<std::int32_t>> current;  // stage input batch (stage > 0)
   for (std::size_t i = 0; i < depth; ++i) {
-    telemetry::ScopedSpan stage_span(stage_span_name(i), "sim");
+    telemetry::ScopedSpan stage_span(span_names_[i], "sim");
     const std::span<const Tensor<std::int32_t>> ins =
         i == 0 ? std::span<const Tensor<std::int32_t>>(images)
                : std::span<const Tensor<std::int32_t>>(current);
     std::vector<arch::RunStats> stage_stats;
     std::vector<Tensor<std::int32_t>> outs;
     if (programmed_[i] != nullptr) {
-      outs = programmed_[i]->run_batch(ins, &stage_stats);
+      outs = programmed_[i]->run_batch(ins, &stage_stats, opts.threads);
     } else {
       stage_stats.assign(n, {});
       outs.reserve(n);

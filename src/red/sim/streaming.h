@@ -36,9 +36,14 @@
 namespace red::sim {
 
 struct StreamingOptions {
-  /// Wave lanes: how many pipeline stages may execute concurrently inside
-  /// one wave (1 = serial walk). Each stage may additionally tile internally
-  /// via DesignConfig::threads; both levels nest safely on the shared pool.
+  /// Thread budget (1 = serial walk), spent at two levels on the shared
+  /// pool: up to `threads` of a wave's (stage, image) cells run at once, and
+  /// every programmed cell also splits its own work (RED mode groups,
+  /// zero-padding output rows, and the input bind) into up to `threads`
+  /// chunks via ProgrammedLayer::run. Pool lanes left idle by a short wave —
+  /// a one-image request has one cell per wave — take chunks of whichever
+  /// cell is still running. Fallback stages (Design::run) tile by
+  /// DesignConfig::threads instead. Results are bit-identical for any value.
   int threads = 1;
   /// Cross-check every (image, stage) execution against the analytic
   /// activity model (sim::consistency_issues); throws MismatchError on any
@@ -157,11 +162,13 @@ class StreamingExecutor {
   void check_stage(std::size_t stage, const Tensor<std::int32_t>& input,
                    const arch::RunStats& stats, std::int64_t image) const;
 
-  /// Execute stage `stage` on `input` (programmed path or fallback),
-  /// consistency-checking when asked. `image` only labels error messages.
+  /// Execute stage `stage` on `input` (programmed path on opts.threads
+  /// lanes, or fallback), consistency-checking when opts.check. `image` only
+  /// labels error messages.
   [[nodiscard]] Tensor<std::int32_t> run_stage(std::size_t stage,
                                                const Tensor<std::int32_t>& input,
-                                               arch::RunStats& stats, bool check,
+                                               arch::RunStats& stats,
+                                               const StreamingOptions& opts,
                                                std::int64_t image) const;
 
   plan::StackPlan plan_;  ///< owns the config (plan_.cfg) and per-stage plans
@@ -169,6 +176,7 @@ class StreamingExecutor {
   std::vector<Tensor<std::int32_t>> kernels_;
   std::unique_ptr<arch::Design> design_;
   std::string design_name_;
+  std::vector<const char*> span_names_;  ///< per-stage layer names (telemetry::intern)
   std::vector<std::unique_ptr<arch::ProgrammedLayer>> programmed_;  ///< null = fallback
   bool programmed_fast_path_ = false;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <set>
 
 #include "red/report/json.h"
 #include "red/store/io.h"
@@ -15,6 +16,20 @@ std::atomic<Tracer*> g_tracer_sink{nullptr};
 
 void install_tracer(Tracer* tracer) {
   detail::g_tracer_sink.store(tracer, std::memory_order_release);
+}
+
+const char* intern(std::string_view name) {
+  struct Table {
+    std::mutex mu;
+    std::set<std::string, std::less<>> names;  ///< nodes never move: c_str() is stable
+  };
+  // Deliberately never destroyed: a trace may be exported during static
+  // destruction, after a function-local static table would be gone.
+  static Table* const table = new Table();
+  std::lock_guard<std::mutex> lock(table->mu);
+  auto it = table->names.find(name);
+  if (it == table->names.end()) it = table->names.emplace(name).first;
+  return it->c_str();
 }
 
 namespace {

@@ -23,6 +23,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace red::telemetry {
@@ -88,7 +89,7 @@ class Tracer {
 
 /// RAII span: reads the clock on entry, records on exit. A single branch and
 /// no clock read when no tracer is installed. `name`/`cat` must be static
-/// strings (string literals at every call site in this repo).
+/// strings: string literals, or names returned by intern().
 class ScopedSpan {
  public:
   ScopedSpan(const char* name, const char* cat);
@@ -103,6 +104,12 @@ class ScopedSpan {
   const char* cat_;
   std::uint64_t start_ns_ = 0;
 };
+
+/// Process-lifetime copy of `name`, usable as a span name built at run time
+/// (e.g. a layer name): equal names share one pointer and the storage is
+/// never freed, so spans outlive whatever object supplied the name. Locks and
+/// may allocate — call it at setup, never on a recording path.
+[[nodiscard]] const char* intern(std::string_view name);
 
 namespace detail {
 extern std::atomic<Tracer*> g_tracer_sink;

@@ -86,7 +86,10 @@ class VariationSampler {
  public:
   VariationSampler(const VariationModel& var, int max_level, VariationStats* stats)
       : var_(var), max_level_(max_level), stats_(stats), engine_(var.seed),
-        noise_(0.0, var.level_sigma) {}
+        // std::normal_distribution requires stddev > 0. With level_sigma == 0
+        // noise_ is never drawn (apply() checks level_sigma first), so any
+        // positive stand-in leaves results unchanged.
+        noise_(0.0, var.level_sigma > 0.0 ? var.level_sigma : 1.0) {}
 
   /// Perturb `n` levels in place, counting stuck/perturbed cells. One
   /// uniform decides both stuck polarities: u < sa0 forces level 0,

@@ -387,14 +387,14 @@ TEST(ProgrammedLayer, RunMatchesDesignRunBitExact) {
         ASSERT_NE(programmed, nullptr);
         arch::RunStats direct_stats, programmed_stats;
         const auto direct = design->run(probe.spec, probe.input, probe.kernel, &direct_stats);
-        const auto out = programmed->run(probe.input, &programmed_stats);
+        const auto out = programmed->run(probe.input, &programmed_stats, threads);
         EXPECT_EQ(first_mismatch(direct, out), "") << "kind " << static_cast<int>(kind);
         EXPECT_EQ(direct_stats, programmed_stats);
         // Rebinding a different input invalidates the cached gather.
         Rng rng(77);
         const auto input2 = workloads::make_input(probe.spec, rng, 1, 5);
         const auto direct2 = design->run(probe.spec, input2, probe.kernel);
-        EXPECT_EQ(first_mismatch(direct2, programmed->run(input2, nullptr)), "");
+        EXPECT_EQ(first_mismatch(direct2, programmed->run(input2, nullptr, threads)), "");
       }
     }
   }

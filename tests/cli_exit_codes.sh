@@ -79,6 +79,29 @@ else
   rm -f "$CKPT"
 fi
 
+# ConfigError (4), not a stack overflow: a checkpoint of 100,000 nested '['
+# hits the JSON parser's nesting bound. Passed to merge-checkpoints next to a
+# good shard, it is quarantined and the good shard still merges.
+BOMB="$SCRATCH/cli_exit_codes_bomb.json"
+GOOD="$SCRATCH/cli_exit_codes_good.json"
+rm -f "$BOMB" "$GOOD"
+awk 'BEGIN { s = "["; while (length(s) < 100000) s = s s; print substr(s, 1, 100000) }' \
+    > "$BOMB"
+expect 4 optimize --folds 1 --muxes 8 --checkpoint "$BOMB"
+"$CLI" optimize --folds 1 --muxes 8 --checkpoint "$GOOD" >/dev/null 2>&1
+merged="$("$CLI" merge-checkpoints "$BOMB" "$GOOD" --folds 1 --muxes 8 2>/dev/null)"
+got=$?
+if [ "$got" -ne 0 ]; then
+  echo "FAIL: merge-checkpoints with a nesting bomb -> exit $got, want 0" >&2
+  FAILED=1
+elif ! printf '%s\n' "$merged" | grep -q "^merged 1 of 2 checkpoint" ||
+     ! printf '%s\n' "$merged" | grep -q "quarantined $BOMB: json: nesting deeper"; then
+  echo "FAIL: merge-checkpoints did not quarantine the bomb and merge the good shard:" >&2
+  printf '%s\n' "$merged" >&2
+  FAILED=1
+fi
+rm -f "$BOMB" "$GOOD"
+
 # Interrupted (7): a --timeout that expires before the first batch stops the
 # search at the boundary, writes a (valid, resumable) checkpoint, and exits
 # with the distinct "rerun me to continue" code.

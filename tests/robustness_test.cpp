@@ -11,6 +11,7 @@
 #include "red/core/designs.h"
 #include "red/nn/deconv_reference.h"
 #include "red/nn/gradient.h"
+#include "red/report/json.h"
 #include "red/sim/balance.h"
 #include "red/sim/pipeline.h"
 #include "red/workloads/benchmarks.h"
@@ -87,6 +88,21 @@ TEST(Robustness, ConfigErrorsCarryActionableMessages) {
     EXPECT_NE(what.find(spec.name), std::string::npos);  // names the layer
     EXPECT_NE(what.find("pad"), std::string::npos);      // names the field
   }
+}
+
+TEST(Robustness, JsonNestingBombIsAConfigErrorNotAStackOverflow) {
+  const auto nested = [](int depth, char open, char close) {
+    return std::string(static_cast<std::size_t>(depth), open) +
+           std::string(static_cast<std::size_t>(depth), close);
+  };
+  EXPECT_NO_THROW((void)report::parse_json(nested(report::kMaxJsonDepth, '[', ']')));
+  EXPECT_THROW((void)report::parse_json(nested(report::kMaxJsonDepth + 1, '[', ']')),
+               ConfigError);
+  std::string objects;
+  for (int i = 0; i <= report::kMaxJsonDepth; ++i) objects += "{\"k\":";
+  EXPECT_THROW((void)report::parse_json(objects + "1" + std::string(report::kMaxJsonDepth + 1, '}')),
+               ConfigError);
+  EXPECT_THROW((void)report::parse_json(std::string(100000, '[')), ConfigError);
 }
 
 TEST(Robustness, ConvEngineRejectsBadGeometry) {

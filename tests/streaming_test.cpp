@@ -1,11 +1,13 @@
 // Tests of the streaming batched execution engine and the ThreadPool
 // workload shapes it leans on: equivalence against per-image
-// simulate_network, thread-count invariance of outputs and stats, the
-// ProgrammedLayer batch entry point, and pool behaviour under nesting,
-// exceptions, and concurrent caller threads.
+// simulate_network, thread-count invariance of outputs and stats (across
+// wave cells and inside a stage), the ProgrammedLayer batch entry point and
+// binding cache, and pool behaviour under nesting, exceptions, and
+// concurrent caller threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -14,6 +16,7 @@
 #include "red/common/error.h"
 #include "red/core/designs.h"
 #include "red/perf/thread_pool.h"
+#include "red/plan/plan.h"
 #include "red/sim/engine.h"
 #include "red/sim/streaming.h"
 #include "red/tensor/tensor_ops.h"
@@ -88,20 +91,36 @@ TEST(Streaming, DeterministicForAnyThreadCountAndSchedule) {
   serial.threads = 1;
   const auto reference = executor.stream(images, serial);
 
-  // Wave lanes, nested stage tiling (cfg.threads), and the layer-major
-  // schedule must all reproduce the serial walk bit-exactly.
+  // Wave lanes nesting stage-internal chunks (opts.threads), stage chunks
+  // alone (ProgrammedLayer::run's budget), and the layer-major schedule must
+  // all reproduce the serial walk bit-exactly.
   std::vector<StreamingBatchResult> candidates;
   for (int threads : {2, 8}) {
     StreamingOptions opts;
     opts.threads = threads;
     candidates.push_back(executor.stream(images, opts));
   }
-  arch::DesignConfig tiled_cfg;
-  tiled_cfg.threads = 2;
-  const StreamingExecutor tiled(core::DesignKind::kRed, tiled_cfg, stack, kernels);
+  const auto design = core::make_design(core::DesignKind::kRed, cfg);
+  std::vector<std::unique_ptr<arch::ProgrammedLayer>> stages;
+  for (std::size_t i = 0; i < stack.size(); ++i)
+    stages.push_back(design->program(stack[i], kernels[i]));
+  StreamingBatchResult chunked;
+  chunked.images.resize(images.size());
+  for (std::size_t k = 0; k < images.size(); ++k) {
+    StreamingImageResult& img = chunked.images[k];
+    img.layer_stats.resize(stack.size());
+    Tensor<std::int32_t> x = images[k];
+    for (std::size_t i = 0; i < stack.size(); ++i) {
+      Tensor<std::int32_t> y = stages[i]->run(x, &img.layer_stats[i], /*threads=*/2);
+      img.total += img.layer_stats[i];
+      x = i + 1 < stack.size() ? requantize_activations(y, cfg.quant.abits) : std::move(y);
+    }
+    img.output = std::move(x);
+    chunked.total += img.total;
+  }
+  candidates.push_back(std::move(chunked));
   StreamingOptions nested;
   nested.threads = 2;
-  candidates.push_back(tiled.stream(images, nested));
   candidates.push_back(executor.stream_layer_major(images, nested));
 
   for (const auto& result : candidates) {
@@ -112,6 +131,52 @@ TEST(Streaming, DeterministicForAnyThreadCountAndSchedule) {
       EXPECT_EQ(result.images[k].total, reference.images[k].total);
       for (std::size_t i = 0; i < stack.size(); ++i)
         EXPECT_EQ(result.images[k].layer_stats[i], reference.images[k].layer_stats[i]);
+    }
+  }
+}
+
+TEST(Streaming, OneImageBudgetSpentInsideTheStageIsBitIdentical) {
+  // The last stage is stride 4: 16 RED mode groups. A one-image request has
+  // one cell per wave, so the whole budget goes into the stage's own chunks.
+  const std::vector<nn::DeconvLayerSpec> stack{{"up2", 3, 3, 4, 6, 4, 4, 2, 1, 0},
+                                               {"up4", 6, 6, 6, 3, 8, 8, 4, 2, 0}};
+  const auto kernels = workloads::make_stack_kernels(stack, 13);
+  const auto images = workloads::make_input_batch(stack[0], 1, 17);
+  const arch::DesignConfig cfg;
+  for (auto kind : {core::DesignKind::kRed, core::DesignKind::kZeroPadding}) {
+    const auto splan = plan::plan_stack(kind, stack, cfg);
+    if (kind == core::DesignKind::kRed) {
+      ASSERT_GE(splan.layers.back().groups.size(), 16u);
+    }
+    const StreamingExecutor executor(splan, kernels);
+    ASSERT_TRUE(executor.programmed_fast_path());
+
+    const auto design = core::make_design(kind, cfg);
+    const auto inputs = chained_inputs(*design, stack, kernels, images[0], cfg.quant.abits);
+    std::vector<arch::RunStats> expected_stats(stack.size());
+    arch::RunStats expected_total;
+    Tensor<std::int32_t> expected_output;
+    for (std::size_t i = 0; i < stack.size(); ++i) {
+      auto out = design->run(stack[i], inputs[i], kernels[i], &expected_stats[i]);
+      expected_total += expected_stats[i];
+      if (i + 1 == stack.size()) expected_output = std::move(out);
+    }
+
+    for (int threads : {1, 2, 3, 4, 7}) {
+      StreamingOptions opts;
+      opts.threads = threads;
+      for (const auto& result :
+           {executor.stream(images, opts), executor.stream_layer_major(images, opts)}) {
+        ASSERT_EQ(result.images.size(), 1u);
+        const auto& img = result.images[0];
+        EXPECT_EQ(first_mismatch(expected_output, img.output), "")
+            << design->name() << " at " << threads << " threads";
+        for (std::size_t i = 0; i < stack.size(); ++i)
+          EXPECT_EQ(img.layer_stats[i], expected_stats[i])
+              << design->name() << " stage " << i << " at " << threads << " threads";
+        EXPECT_EQ(img.total, expected_total) << design->name() << " at " << threads;
+        EXPECT_EQ(result.total, expected_total) << design->name() << " at " << threads;
+      }
     }
   }
 }
@@ -164,6 +229,35 @@ TEST(ProgrammedLayer, RunBatchMatchesSequentialRuns) {
       const auto expected = programmed->run(inputs[k], &single);
       EXPECT_EQ(first_mismatch(expected, outputs[k]), "") << design->name() << " image " << k;
       EXPECT_EQ(batch_stats[k], single) << design->name() << " image " << k;
+    }
+  }
+}
+
+TEST(ProgrammedLayer, RebindingAnEarlierInputMatchesFreshDesignRuns) {
+  // The input-binding cache holds one tensor and drops it before binding the
+  // next: running A, B, then A again must rebuild A's gather, never reuse B's.
+  const nn::DeconvLayerSpec spec{"rebind_probe", 5, 5, 6, 4, 8, 8, 4, 2, 0};
+  Rng rng(23);
+  const auto kernel = workloads::make_kernel(spec, rng, -7, 7);
+  Rng rng_a(61), rng_b(62);
+  const auto a = workloads::make_input(spec, rng_a, 0, 7);
+  const auto b = workloads::make_input(spec, rng_b, 0, 7);
+  ASSERT_FALSE(a == b);
+  for (auto kind : {core::DesignKind::kZeroPadding, core::DesignKind::kRed}) {
+    const auto design = core::make_design(kind);
+    const auto programmed = design->program(spec, kernel);
+    ASSERT_NE(programmed, nullptr);
+    for (int threads : {1, 3}) {
+      int step = 0;
+      for (const Tensor<std::int32_t>* input : {&a, &b, &a}) {
+        arch::RunStats expected_stats, stats;
+        const auto expected = design->run(spec, *input, kernel, &expected_stats);
+        const auto out = programmed->run(*input, &stats, threads);
+        EXPECT_EQ(first_mismatch(expected, out), "")
+            << design->name() << " step " << step << " at " << threads << " threads";
+        EXPECT_EQ(stats, expected_stats) << design->name() << " step " << step;
+        ++step;
+      }
     }
   }
 }

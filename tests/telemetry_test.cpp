@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -368,7 +369,13 @@ TEST(Telemetry, InstrumentedRunPopulatesSinks) {
   EXPECT_GT(doc.at("counters").at("streaming.cells").as_uint(), 0u);
   EXPECT_NE(doc.at("counters").find("mvm.ops"), nullptr);
   EXPECT_GT(doc.at("histograms").at("streaming.stage_latency_ns").at("count").as_uint(), 0u);
-  EXPECT_FALSE(tracer.merged_events().empty());
+  // Stage spans carry the layer's name (interned, so they outlive the
+  // executor), and RED stages record one span per mode-group chunk.
+  const auto stack = workloads::named_stack("dcgan", /*div=*/16);
+  std::set<std::string> names;
+  for (const auto& e : tracer.merged_events()) names.insert(e.event.name);
+  for (const auto& layer : stack) EXPECT_TRUE(names.contains(layer.name)) << layer.name;
+  EXPECT_TRUE(names.contains("red.group_chunk"));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "red/core/pixel_wise_mapping.h"
 #include "red/fault/inject.h"
 #include "red/core/schedule.h"
+#include "red/perf/mvm_kernel.h"
 #include "red/perf/thread_pool.h"
 #include "red/perf/workspace.h"
 #include "red/plan/plan.h"
@@ -40,41 +41,47 @@ std::vector<xbar::LogicalXbar> build_group_xbars(const nn::DeconvLayerSpec& spec
 }
 
 // Trial-invariant half of the programmed fast path: config, schedule, and a
-// cached binding of one input tensor to per-group batched cycle inputs plus
-// per-cycle output placement. Shared (const) across every perturbed sibling,
-// so Monte Carlo trials pay the schedule walk and input gather exactly once.
+// cached binding of one input tensor to its encoded pixels. Shared (const)
+// across every perturbed or faulted sibling, so Monte Carlo trials and fault
+// campaigns pay the schedule walk and the input encode exactly once.
 struct RedProgram {
-  struct CycleMeta {
-    std::int32_t out_y = 0;
-    std::int32_t out_x = 0;
-    bool produces_output = false;
-  };
-
   struct BoundInput {
     Tensor<std::int32_t> input;  ///< the bound tensor (cache validity check)
-    std::vector<std::vector<std::int32_t>> group_inputs;  ///< [group]: cycles x rows
-    std::vector<std::vector<CycleMeta>> group_meta;       ///< [group][cycle]
+    /// Each input pixel's C-channel vector, range-checked and bit-packed once
+    /// (perf::encode_input layout): pixel p = h * iw + w owns the
+    /// pixel_words x planes_pad words at p * pixel_words * planes_pad.
+    std::vector<std::uint64_t> planes;
+    std::vector<perf::EncodeSummary> sums;  ///< [pixel]
   };
 
   arch::DesignConfig cfg;
   nn::DeconvLayerSpec spec;
   ZeroSkipSchedule schedule;
+  int planes_pad;
+  std::int64_t pixel_words;  ///< 64-bit words per plane of one pixel: ceil(C / 64)
   mutable std::mutex mu;
   mutable std::shared_ptr<const BoundInput> bound;
 
   RedProgram(arch::DesignConfig c, const nn::DeconvLayerSpec& s, int fold)
-      : cfg(std::move(c)), spec(s), schedule(s, fold, cfg.lookahead_h, cfg.lookaside_d) {}
+      : cfg(std::move(c)),
+        spec(s),
+        schedule(s, fold, cfg.lookahead_h, cfg.lookaside_d),
+        planes_pad(perf::packed_planes_pad(cfg.quant)),
+        pixel_words((s.c + 63) / 64) {}
 
   /// Plan-consuming form: the schedule reuses the plan's mode-group table.
   RedProgram(arch::DesignConfig c, const nn::DeconvLayerSpec& s, int fold,
              std::vector<ModeGroup> groups)
       : cfg(std::move(c)),
         spec(s),
-        schedule(s, fold, cfg.lookahead_h, cfg.lookaside_d, std::move(groups)) {}
+        schedule(s, fold, cfg.lookahead_h, cfg.lookaside_d, std::move(groups)),
+        planes_pad(perf::packed_planes_pad(cfg.quant)),
+        pixel_words((s.c + 63) / 64) {}
 
-  /// Gather the per-cycle group inputs of `input` (or return the cached
-  /// binding when it is the same tensor), groups chunked over `threads`
-  /// lanes. Serialized: concurrent first callers wait while one builds.
+  /// Encode every pixel of `input` (or return the cached binding when it is
+  /// the same tensor), pixels chunked over `threads` lanes. Serialized:
+  /// concurrent first callers wait while one builds. An out-of-range
+  /// activation throws ContractViolation and leaves nothing cached.
   std::shared_ptr<const BoundInput> bind(const Tensor<std::int32_t>& input, int threads) const {
     std::lock_guard<std::mutex> lock(mu);
     if (bound != nullptr && bound->input == input) return bound;
@@ -83,34 +90,20 @@ struct RedProgram {
     bound.reset();
     auto b = std::make_shared<BoundInput>();
     b->input = input;
-    const auto& groups = schedule.groups();
-    const std::int64_t num_cycles = schedule.num_cycles();
-    const auto num_groups = static_cast<std::int64_t>(groups.size());
-    b->group_inputs.resize(groups.size());
-    b->group_meta.resize(groups.size());
-    perf::parallel_chunks(perf::chunk_count(threads, num_groups), num_groups,
-                          [&](std::int64_t, std::int64_t g0, std::int64_t g1) {
-      GroupWork work;
-      for (std::int64_t gi = g0; gi < g1; ++gi) {
-        const auto g = static_cast<std::size_t>(gi);
-        const std::int64_t rows = static_cast<std::int64_t>(groups[g].scs.size()) * spec.c;
-        auto& gin = b->group_inputs[g];
-        gin.assign(static_cast<std::size_t>(num_cycles * rows), 0);
-        auto& gm = b->group_meta[g];
-        gm.resize(static_cast<std::size_t>(num_cycles));
-        for (std::int64_t ci = 0; ci < num_cycles; ++ci) {
-          schedule.group_work(ci, static_cast<int>(gi), work);
-          std::int32_t* dst = gin.data() + ci * rows;
-          for (const auto& in : work.inputs) {
-            if (!in.active) continue;  // zero-skip: padded zeros are never streamed
-            for (int c = 0; c < spec.c; ++c)
-              dst[static_cast<std::size_t>(in.sc_index) * spec.c + static_cast<std::size_t>(c)] =
-                  input.ptr(0, c)[std::int64_t{in.h} * spec.iw + in.w];
-          }
-          gm[static_cast<std::size_t>(ci)] = {work.out_y, work.out_x, work.produces_output};
-        }
+    const std::int64_t pixels = std::int64_t{spec.ih} * spec.iw;
+    const std::int64_t stride = pixel_words * planes_pad;
+    b->planes.resize(static_cast<std::size_t>(pixels * stride));
+    b->sums.resize(static_cast<std::size_t>(pixels));
+    perf::parallel_chunks(perf::chunk_count(threads, pixels), pixels,
+                          [&](std::int64_t, std::int64_t p0, std::int64_t p1) {
+      std::vector<std::int32_t> channels(static_cast<std::size_t>(spec.c));
+      for (std::int64_t p = p0; p < p1; ++p) {
+        for (int c = 0; c < spec.c; ++c)
+          channels[static_cast<std::size_t>(c)] = input.ptr(0, c)[p];
+        b->sums[static_cast<std::size_t>(p)] =
+            perf::encode_input(channels, cfg.quant, b->planes.data() + p * stride);
       }
-    });
+    }, "red.bind_chunk");
     bound = b;
     return b;
   }
@@ -133,33 +126,55 @@ class RedProgrammedLayer final : public arch::ProgrammedLayer {
     const int num_groups = static_cast<int>(schedule.groups().size());
     const std::int64_t out_plane = std::int64_t{spec.oh()} * spec.ow();
     const int phases = schedule.phases();
+    const int planes_pad = prog_->planes_pad;
+    const std::int64_t pixel_stride = prog_->pixel_words * planes_pad;
 
     Tensor<std::int32_t> out(spec.output_shape());
-    // Same chunked group walk as RedDesign::run, but each group executes its
-    // whole cycle sequence as one batched MVM over the pre-gathered inputs.
+    // Same chunked group walk as RedDesign::run, but each group assembles its
+    // whole cycle sequence from the bound pixel encodings (a sub-crossbar's
+    // pixel lands at rows sc_index * C) and runs it as one pre-packed MVM batch.
     const std::int64_t chunks = perf::chunk_count(threads, num_groups);
     std::vector<arch::RunStats> chunk_stats(static_cast<std::size_t>(chunks));
     perf::parallel_chunks(chunks, num_groups, [&](std::int64_t t, std::int64_t g0,
                                                   std::int64_t g1) {
       arch::RunStats& local = chunk_stats[static_cast<std::size_t>(t)];
-      // Thread-local workspace: Monte Carlo trials call run() thousands of
+      // Thread-local scratch: Monte Carlo trials call run() thousands of
       // times, so the per-call construction cost matters here (unlike the
       // one-shot RedDesign::run).
-      thread_local perf::MvmWorkspace ws;
+      thread_local GroupScratch scratch;
       std::vector<std::int64_t> group_acc(static_cast<std::size_t>(spec.m));
       for (std::int64_t gi = g0; gi < g1; ++gi) {
-        const auto partials =
-            xbars_[static_cast<std::size_t>(gi)].mvm_batch(bound->group_inputs[static_cast<std::size_t>(gi)],
-                                                           num_cycles, prog_->cfg.bit_accurate,
-                                                           ws, &local.mvm);
+        const auto& xb = xbars_[static_cast<std::size_t>(gi)];
+        const std::int64_t words = xb.packed_words();
+        const std::int64_t stride = words * planes_pad;
+        scratch.planes.assign(static_cast<std::size_t>(num_cycles * stride), 0);
+        scratch.sums.assign(static_cast<std::size_t>(num_cycles), {});
+        scratch.meta.resize(static_cast<std::size_t>(num_cycles));
+        for (std::int64_t ci = 0; ci < num_cycles; ++ci) {
+          schedule.group_work(ci, static_cast<int>(gi), scratch.work);
+          std::uint64_t* cycle_planes = scratch.planes.data() + ci * stride;
+          auto& sum = scratch.sums[static_cast<std::size_t>(ci)];
+          for (const auto& in : scratch.work.inputs) {
+            if (!in.active) continue;  // zero-skip: padded zeros are never streamed
+            const std::int64_t p = std::int64_t{in.h} * spec.iw + in.w;
+            sum += bound->sums[static_cast<std::size_t>(p)];
+            perf::or_packed_at(cycle_planes, words, bound->planes.data() + p * pixel_stride,
+                               prog_->pixel_words, planes_pad,
+                               std::int64_t{in.sc_index} * spec.c);
+          }
+          scratch.meta[static_cast<std::size_t>(ci)] = {
+              scratch.work.out_y, scratch.work.out_x, scratch.work.produces_output};
+        }
+        const auto partials = perf::mvm_prepacked(xb, scratch.planes, scratch.sums,
+                                                  prog_->cfg.bit_accurate, scratch.ws,
+                                                  &local.mvm);
         for (std::int64_t ci = 0; ci < num_cycles; ++ci) {
           // A block spans phases() coalesced cycles (== fold with the
           // lookahead/lookaside window off).
           if (ci % phases == 0) std::fill(group_acc.begin(), group_acc.end(), 0);
           const std::int64_t* p = partials.data() + ci * spec.m;
           for (int m = 0; m < spec.m; ++m) group_acc[static_cast<std::size_t>(m)] += p[m];
-          const auto& meta = bound->group_meta[static_cast<std::size_t>(gi)]
-                                             [static_cast<std::size_t>(ci)];
+          const auto& meta = scratch.meta[static_cast<std::size_t>(ci)];
           if (meta.produces_output)
             for (int m = 0; m < spec.m; ++m)
               out.data()[m * out_plane + std::int64_t{meta.out_y} * spec.ow() + meta.out_x] =
@@ -209,6 +224,20 @@ class RedProgrammedLayer final : public arch::ProgrammedLayer {
   }
 
  private:
+  /// Per-lane buffers of one group walk, reused across groups and runs.
+  struct GroupScratch {
+    struct CycleMeta {
+      std::int32_t out_y = 0;
+      std::int32_t out_x = 0;
+      bool produces_output = false;
+    };
+    perf::MvmWorkspace ws;
+    GroupWork work;                         ///< rebuilt in place each cycle
+    std::vector<std::uint64_t> planes;      ///< [cycle]: packed_words x planes_pad
+    std::vector<perf::EncodeSummary> sums;  ///< [cycle]
+    std::vector<CycleMeta> meta;            ///< [cycle]
+  };
+
   std::shared_ptr<const RedProgram> prog_;
   std::vector<xbar::LogicalXbar> xbars_;
 };

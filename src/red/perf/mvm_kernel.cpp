@@ -50,12 +50,6 @@ int fast_pulse_count(std::int32_t a, const QuantConfig& q) {
   return n;
 }
 
-struct EncodeSummary {
-  std::int64_t input_sum = 0;
-  std::int64_t drives = 0;      ///< rows with a non-zero input
-  std::int64_t pulse_rows = 0;  ///< sum over rows of per-row pulse counts
-};
-
 /// Range-check the inputs and accumulate the activity summary shared by all
 /// kernel variants (matching the reference's per-row accounting exactly).
 EncodeSummary summarize_input(std::span<const std::int32_t> input, const QuantConfig& q) {
@@ -227,9 +221,6 @@ std::int64_t clipped_kernel(const LogicalXbar& xbar, MvmWorkspace& ws, std::int6
 /// to a multiple of 4; slices() * cell_bits <= 19 weight planes.
 constexpr int kMaxPlanesPad = 16;
 constexpr int kMaxSlices = 16;
-
-/// Input bit-planes, padded to one 256-bit lane group (pad planes stay 0).
-int padded_planes(const QuantConfig& q) { return (q.abits + 3) & ~3; }
 
 using LaneSumsFn = void (*)(const std::uint64_t* ip, std::int64_t words, int planes_pad,
                             const std::uint64_t* wplanes, int ucount, std::int64_t* lanes);
@@ -404,16 +395,16 @@ void encode_packed(std::span<const std::int32_t> input, const QuantConfig& q, in
 /// lane_sums pass over all weight planes yields S_j = sum_u 2^u * L[j][u],
 /// and out[c] = sum_j pw(j) * S_j - offset * input_sum, with pw(j) = -2^j on
 /// the two's-complement MSB plane and +2^j otherwise.
-void packed_ideal_kernel(const LogicalXbar& xbar, const EncodeSummary& sum, MvmWorkspace& ws,
-                         std::int64_t* out, LaneSumsFn fn) {
+void packed_ideal_kernel(const LogicalXbar& xbar, const EncodeSummary& sum,
+                         const std::uint64_t* ip, std::int64_t* out, LaneSumsFn fn) {
   const std::int64_t cols = xbar.cols();
   const std::int64_t words = xbar.packed_words();
   const QuantConfig& q = xbar.config();
-  const int planes_pad = padded_planes(q);
+  const int planes_pad = packed_planes_pad(q);
   const std::int64_t correction = std::int64_t{q.weight_offset()} * sum.input_sum;
   std::int64_t lanes[kMaxPlanesPad];
   for (std::int64_t c = 0; c < cols; ++c) {
-    fn(ws.in_planes.data(), words, planes_pad, xbar.packed_col_planes(c),
+    fn(ip, words, planes_pad, xbar.packed_col_planes(c),
        xbar.packed_weight_planes(), lanes);
     std::int64_t o = 0;
     for (int j = 0; j < q.abits; ++j) {
@@ -432,14 +423,14 @@ void packed_ideal_kernel(const LogicalXbar& xbar, const EncodeSummary& sum, MvmW
 /// at the ADC ceiling with clip counting, and accumulate exactly like the
 /// reference. Returns the number of saturated conversions.
 std::int64_t packed_clipped_kernel(const LogicalXbar& xbar, const EncodeSummary& sum,
-                                   MvmWorkspace& ws, std::int64_t* out, LaneSumsFn fn) {
+                                   const std::uint64_t* ip, std::int64_t* out, LaneSumsFn fn) {
   const std::int64_t cols = xbar.cols();
   const std::int64_t words = xbar.packed_words();
   const QuantConfig& q = xbar.config();
   const int slices = q.slices();
   const int cell_bits = q.cell_bits;
   const int num_pulses = q.pulses();
-  const int planes_pad = padded_planes(q);
+  const int planes_pad = packed_planes_pad(q);
   const std::int64_t clip_max = (std::int64_t{1} << q.adc.bits) - 1;
   const std::int64_t correction = std::int64_t{q.weight_offset()} * sum.input_sum;
   std::int64_t lanes[kMaxSlices * kMaxPlanesPad];
@@ -447,7 +438,7 @@ std::int64_t packed_clipped_kernel(const LogicalXbar& xbar, const EncodeSummary&
   for (std::int64_t c = 0; c < cols; ++c) {
     const std::uint64_t* wcol = xbar.packed_col_planes(c);
     for (int s = 0; s < slices; ++s)
-      fn(ws.in_planes.data(), words, planes_pad,
+      fn(ip, words, planes_pad,
          wcol + static_cast<std::size_t>(s) * cell_bits * static_cast<std::size_t>(words),
          cell_bits, lanes + s * planes_pad);
     std::int64_t o = 0;
@@ -512,6 +503,18 @@ std::atomic<int>& active_isa_slot() {
 
 // ---------------------------------------------------------------------------
 
+/// Account one MVM call of input activity `sum` (and `clips` saturated
+/// conversions) in `stats`, matching the reference's per-call bookkeeping.
+void count_call(MvmStats* stats, const LogicalXbar& xbar, const EncodeSummary& sum,
+                std::int64_t clips) {
+  if (stats == nullptr) return;
+  stats->mvm_ops += 1;
+  stats->row_drives += sum.drives;
+  stats->mac_pulses += sum.pulse_rows * xbar.phys_cols();
+  stats->conversions += xbar.phys_cols() * xbar.config().pulses();
+  stats->adc_clips += clips;
+}
+
 /// One bit-accurate MVM into `out` (cols() values). Assumes ws is prepared.
 void bit_accurate_into(const LogicalXbar& xbar, std::span<const std::int32_t> input,
                        MvmWorkspace& ws, std::int64_t* out, MvmStats* stats, MvmIsa isa) {
@@ -530,20 +533,13 @@ void bit_accurate_into(const LogicalXbar& xbar, std::span<const std::int32_t> in
     }
   } else {
     const LaneSumsFn fn = lane_sums_fn(isa);
-    encode_packed(input, q, padded_planes(q), ws.in_planes.data());
+    encode_packed(input, q, packed_planes_pad(q), ws.in_planes.data());
     if (q.adc.mode == AdcMode::kIdeal)
-      packed_ideal_kernel(xbar, sum, ws, out, fn);
+      packed_ideal_kernel(xbar, sum, ws.in_planes.data(), out, fn);
     else
-      clips = packed_clipped_kernel(xbar, sum, ws, out, fn);
+      clips = packed_clipped_kernel(xbar, sum, ws.in_planes.data(), out, fn);
   }
-
-  if (stats != nullptr) {
-    stats->mvm_ops += 1;
-    stats->row_drives += sum.drives;
-    stats->mac_pulses += sum.pulse_rows * xbar.phys_cols();
-    stats->conversions += xbar.phys_cols() * q.pulses();
-    stats->adc_clips += clips;
-  }
+  count_call(stats, xbar, sum, clips);
 }
 
 /// One exact MVM (ideal-ADC semantics regardless of the configured ADC) into
@@ -561,35 +557,24 @@ void exact_into(const LogicalXbar& xbar, std::span<const std::int32_t> input, Mv
 
   if (isa != MvmIsa::kScalar) {
     const EncodeSummary sum = summarize_input(input, q);
-    encode_packed(input, q, padded_planes(q), ws.in_planes.data());
-    packed_ideal_kernel(xbar, sum, ws, out, lane_sums_fn(isa));
-    if (stats != nullptr) {
-      stats->mvm_ops += 1;
-      stats->row_drives += sum.drives;
-      stats->mac_pulses += sum.pulse_rows * xbar.phys_cols();
-      stats->conversions += xbar.phys_cols() * q.pulses();
-    }
+    encode_packed(input, q, packed_planes_pad(q), ws.in_planes.data());
+    packed_ideal_kernel(xbar, sum, ws.in_planes.data(), out, lane_sums_fn(isa));
+    count_call(stats, xbar, sum, 0);
     return;
   }
 
   const std::int32_t* weights = xbar.stored_weights().data();
   std::fill(out, out + cols, std::int64_t{0});
-  std::int64_t drives = 0;
-  std::int64_t pulse_rows = 0;
+  EncodeSummary sum;
   for (std::int64_t r = 0; r < rows; ++r) {
     const std::int64_t in = input[static_cast<std::size_t>(r)];
     if (in == 0) continue;
-    ++drives;
-    pulse_rows += fast_pulse_count(static_cast<std::int32_t>(in), q);
+    ++sum.drives;
+    sum.pulse_rows += fast_pulse_count(static_cast<std::int32_t>(in), q);
     const std::int32_t* wrow = weights + r * cols;
     for (std::int64_t c = 0; c < cols; ++c) out[c] += in * wrow[c];
   }
-  if (stats != nullptr) {
-    stats->mvm_ops += 1;
-    stats->row_drives += drives;
-    stats->mac_pulses += pulse_rows * xbar.phys_cols();
-    stats->conversions += xbar.phys_cols() * q.pulses();
-  }
+  count_call(stats, xbar, sum, 0);
 }
 
 /// Observe-only instrumentation of the public dispatch entry points (never
@@ -630,6 +615,63 @@ void record_mvm_call(telemetry::MetricsRegistry* m, MvmIsa isa, std::int64_t cal
 
 MvmIsa mvm_detected_isa() { return detect_isa(); }
 
+int packed_planes_pad(const QuantConfig& q) { return (q.abits + 3) & ~3; }
+
+EncodeSummary encode_input(std::span<const std::int32_t> input, const QuantConfig& q,
+                           std::uint64_t* planes) {
+  const EncodeSummary sum = summarize_input(input, q);
+  encode_packed(input, q, packed_planes_pad(q), planes);
+  return sum;
+}
+
+void or_packed_at(std::uint64_t* dst, std::int64_t dst_words, const std::uint64_t* src,
+                  std::int64_t src_words, int planes_pad, std::int64_t row0) {
+  const std::int64_t w0 = row0 >> 6;
+  const int shift = static_cast<int>(row0 & 63);
+  // The source's last word holds its last row, so every source word lands
+  // inside dst; only a shifted word's spill can point past dst's end, and
+  // then it is empty (it would carry rows past the source's last row).
+  RED_EXPECTS(row0 >= 0 && w0 + src_words <= dst_words);
+  for (std::int64_t w = 0; w < src_words; ++w) {
+    const std::uint64_t* s = src + w * planes_pad;
+    std::uint64_t* lo = dst + (w0 + w) * planes_pad;
+    for (int j = 0; j < planes_pad; ++j) lo[j] |= s[j] << shift;
+    if (shift != 0 && w0 + w + 1 < dst_words)
+      for (int j = 0; j < planes_pad; ++j) lo[planes_pad + j] |= s[j] >> (64 - shift);
+  }
+}
+
+std::span<const std::int64_t> mvm_prepacked(const LogicalXbar& xbar,
+                                            std::span<const std::uint64_t> planes,
+                                            std::span<const EncodeSummary> sums,
+                                            bool bit_accurate, MvmWorkspace& ws,
+                                            MvmStats* stats) {
+  const QuantConfig& q = xbar.config();
+  const auto batch = static_cast<std::int64_t>(sums.size());
+  const std::int64_t stride = xbar.packed_words() * packed_planes_pad(q);
+  RED_EXPECTS_MSG(planes.size() == static_cast<std::size_t>(batch * stride),
+                  "pre-packed planes size mismatch");
+  const MvmIsa isa = std::max(mvm_active_isa(), MvmIsa::kPortable);
+  auto* m = telemetry::metrics();
+  const MvmStats before = (m != nullptr && stats != nullptr) ? *stats : MvmStats{};
+  ws.prepare(xbar.rows(), xbar.cols(), q.pulses(), batch);
+  const LaneSumsFn fn = lane_sums_fn(isa);
+  const bool clipped = bit_accurate && q.adc.mode != AdcMode::kIdeal;
+  for (std::int64_t v = 0; v < batch; ++v) {
+    const std::uint64_t* ip = planes.data() + v * stride;
+    const EncodeSummary& sum = sums[static_cast<std::size_t>(v)];
+    std::int64_t* out = ws.out.data() + v * xbar.cols();
+    std::int64_t clips = 0;
+    if (clipped)
+      clips = packed_clipped_kernel(xbar, sum, ip, out, fn);
+    else
+      packed_ideal_kernel(xbar, sum, ip, out, fn);
+    count_call(stats, xbar, sum, clips);
+  }
+  if (m != nullptr && batch > 0) record_mvm_call(m, isa, batch, stats, before);
+  return {ws.out.data(), static_cast<std::size_t>(batch * xbar.cols())};
+}
+
 MvmIsa mvm_active_isa() { return static_cast<MvmIsa>(active_isa_slot().load(std::memory_order_relaxed)); }
 
 MvmIsa set_mvm_isa(MvmIsa isa) {
@@ -662,7 +704,7 @@ std::span<const std::int64_t> mvm_bit_accurate(const LogicalXbar& xbar,
   auto* m = telemetry::metrics();
   const MvmStats before = (m != nullptr && stats != nullptr) ? *stats : MvmStats{};
   ws.prepare(xbar.rows(), xbar.cols(), xbar.config().pulses());
-  if (isa != MvmIsa::kScalar) ws.prepare_packed(xbar.rows(), padded_planes(xbar.config()));
+  if (isa != MvmIsa::kScalar) ws.prepare_packed(xbar.rows(), packed_planes_pad(xbar.config()));
   bit_accurate_into(xbar, input, ws, ws.out.data(), stats, isa);
   if (m != nullptr) record_mvm_call(m, isa, 1, stats, before);
   return {ws.out.data(), static_cast<std::size_t>(xbar.cols())};
@@ -675,7 +717,7 @@ std::span<const std::int64_t> mvm_exact(const LogicalXbar& xbar,
   auto* m = telemetry::metrics();
   const MvmStats before = (m != nullptr && stats != nullptr) ? *stats : MvmStats{};
   ws.prepare(xbar.rows(), xbar.cols(), xbar.config().pulses());
-  if (isa != MvmIsa::kScalar) ws.prepare_packed(xbar.rows(), padded_planes(xbar.config()));
+  if (isa != MvmIsa::kScalar) ws.prepare_packed(xbar.rows(), packed_planes_pad(xbar.config()));
   exact_into(xbar, input, ws, ws.out.data(), stats, isa);
   if (m != nullptr) record_mvm_call(m, isa, 1, stats, before);
   return {ws.out.data(), static_cast<std::size_t>(xbar.cols())};
@@ -691,7 +733,7 @@ std::span<const std::int64_t> mvm_batch(const LogicalXbar& xbar,
   auto* m = telemetry::metrics();
   const MvmStats before = (m != nullptr && stats != nullptr) ? *stats : MvmStats{};
   ws.prepare(xbar.rows(), xbar.cols(), xbar.config().pulses(), batch);
-  if (isa != MvmIsa::kScalar) ws.prepare_packed(xbar.rows(), padded_planes(xbar.config()));
+  if (isa != MvmIsa::kScalar) ws.prepare_packed(xbar.rows(), packed_planes_pad(xbar.config()));
   const auto rows = static_cast<std::size_t>(xbar.rows());
   for (std::int64_t v = 0; v < batch; ++v) {
     const auto input = inputs.subspan(static_cast<std::size_t>(v) * rows, rows);

@@ -5,9 +5,13 @@
 // across QuantConfig, variation, and ADC-clip configurations.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "red/common/error.h"
 #include "red/common/math_util.h"
 #include "red/common/rng.h"
 #include "red/core/designs.h"
@@ -255,6 +259,123 @@ TEST(FastPathEquivalence, PackedKernelsMatchReferenceOnAwkwardShapes) {
         }
       }
     }
+  }
+}
+
+/// RED programmed runs encode each input pixel once at bind time and OR its
+/// planes into every cycle at row offset sc_index * C. Channel counts around
+/// the 64-bit word put those offsets on, across and exactly at word
+/// boundaries; the programmed run must equal RedDesign::run (scalar-tier
+/// oracle) in output and full RunStats for every fold/lookahead schedule,
+/// ADC regime, DAC width, lane budget and dispatch tier.
+TEST(FastPathEquivalence, PrePackedRedRunsMatchDesignRunOnWordStraddlingShapes) {
+  const ScopedIsa restore;
+  std::vector<QuantConfig> quants;
+  quants.push_back(QuantConfig{});  // dac_bits 1, negative activations, ideal ADC
+  {
+    QuantConfig q;  // clipped ADC tight enough to saturate
+    q.adc.mode = AdcMode::kClipped;
+    q.adc.bits = 4;
+    quants.push_back(q);
+  }
+  {
+    QuantConfig q;  // 2-bit DAC digits (non-negative activations)
+    q.dac_bits = 2;
+    quants.push_back(q);
+  }
+  {
+    QuantConfig q;  // 2-bit DAC + clipped ADC
+    q.dac_bits = 2;
+    q.adc.mode = AdcMode::kClipped;
+    q.adc.bits = 5;
+    quants.push_back(q);
+  }
+  struct Sched {
+    int fold, h, d;
+  };
+  Rng rng(1414);
+  int clipped_runs = 0;
+  for (const int c : {1, 21, 63, 64, 65, 130}) {
+    // 5x5 / stride 2: mode groups of 9, 6, 6 and 4 sub-crossbars.
+    const nn::DeconvLayerSpec spec{"straddle", 2, 3, c, 3, 5, 5, 2, 1, 0};
+    for (const auto& q : quants) {
+      const std::int32_t lo = q.dac_bits == 1 ? -(1 << (q.abits - 1)) : 0;
+      const std::int32_t hi = q.dac_bits == 1 ? (1 << (q.abits - 1)) - 1 : (1 << q.abits) - 1;
+      auto input = workloads::make_input(spec, rng, lo, hi);
+      for (std::int64_t i = 0; i < input.size(); i += 4) input.data()[i] = 0;
+      const auto kernel =
+          workloads::make_kernel(spec, rng, -q.weight_offset(), q.weight_offset() - 1);
+      for (const Sched sched : {Sched{1, 0, 0}, Sched{2, 0, 0}, Sched{4, 0, 0}, Sched{1, 1, 1},
+                                Sched{2, 1, 1}, Sched{4, 1, 1}}) {
+        for (const bool bit_accurate : {false, true}) {
+          arch::DesignConfig cfg;
+          cfg.quant = q;
+          cfg.bit_accurate = bit_accurate;
+          cfg.red_fold = sched.fold;
+          cfg.lookahead_h = sched.h;
+          cfg.lookaside_d = sched.d;
+          const auto design = core::make_design(core::DesignKind::kRed, cfg);
+          perf::set_mvm_isa(perf::MvmIsa::kScalar);
+          arch::RunStats ref_stats;
+          const auto ref = design->run(spec, input, kernel, &ref_stats);
+          if (ref_stats.mvm.adc_clips > 0) ++clipped_runs;
+          for (const int lanes : {1, 3}) {
+            // A fresh program per budget, so its first run binds on `lanes`.
+            const auto programmed = design->program(spec, kernel);
+            for (const auto isa : kAllIsas) {
+              perf::set_mvm_isa(isa);
+              arch::RunStats got_stats;
+              const auto got = programmed->run(input, &got_stats, lanes);
+              const std::string where = std::string(perf::mvm_isa_name(isa)) +
+                                        " C=" + std::to_string(c) + " dac=" +
+                                        std::to_string(q.dac_bits) + " fold=" +
+                                        std::to_string(sched.fold) + " la=" +
+                                        std::to_string(sched.h) + " bit_accurate=" +
+                                        std::to_string(bit_accurate) +
+                                        " lanes=" + std::to_string(lanes);
+              EXPECT_EQ(got, ref) << where;
+              EXPECT_EQ(got_stats, ref_stats) << where;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The matrix must actually exercise the saturating-ADC kernel.
+  EXPECT_GT(clipped_runs, 0);
+}
+
+/// Range checking moved from every MVM call into RedProgram::bind: an
+/// out-of-range activation must still throw ContractViolation, and the
+/// failed bind must leave no half-built binding behind.
+TEST(FastPathEquivalence, PrePackedBindStillRangeChecksAndRecovers) {
+  const nn::DeconvLayerSpec spec{"range", 3, 3, 21, 2, 4, 4, 2, 1, 0};
+  Rng rng(31);
+  const auto kernel = workloads::make_kernel(spec, rng, -7, 7);
+  const auto good = workloads::make_input(spec, rng, -5, 5);
+  for (const int dac_bits : {1, 2}) {
+    arch::DesignConfig cfg;
+    cfg.quant.dac_bits = dac_bits;
+    const auto design = core::make_design(core::DesignKind::kRed, cfg);
+    const auto programmed = design->program(spec, kernel);
+    // Past the abits range for either DAC; negative also breaks 2-bit digits.
+    for (const std::int32_t bad_value : {256, dac_bits == 1 ? -129 : -1}) {
+      for (const int lanes : {1, 3}) {
+        auto bad = good;
+        for (auto& v : std::span<std::int32_t>(bad.data(), static_cast<std::size_t>(bad.size())))
+          v = std::abs(v);
+        bad.data()[bad.size() / 2] = bad_value;
+        EXPECT_THROW((void)programmed->run(bad, nullptr, lanes), ContractViolation)
+            << "dac=" << dac_bits << " value=" << bad_value << " lanes=" << lanes;
+        // The same tensor again must throw again, not hit a cached binding.
+        EXPECT_THROW((void)programmed->run(bad, nullptr, lanes), ContractViolation);
+      }
+    }
+    const auto valid = dac_bits == 1 ? good : workloads::make_input(spec, rng, 0, 7);
+    arch::RunStats ref_stats, got_stats;
+    const auto ref = design->run(spec, valid, kernel, &ref_stats);
+    EXPECT_EQ(programmed->run(valid, &got_stats, 2), ref);
+    EXPECT_EQ(got_stats, ref_stats);
   }
 }
 

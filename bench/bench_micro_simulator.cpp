@@ -121,8 +121,8 @@ void BM_MvmBitAccurateWorkspace(benchmark::State& state) {
 BENCHMARK(BM_MvmBitAccurateWorkspace)->Arg(128)->Arg(512);
 
 // One ideal-ADC workspace row per dispatch tier, so BENCH_mvm.json carries
-// the scalar "before" next to the packed portable/POPCNT/AVX2/AVX-512
-// "after" on every run. The label records the tier actually installed
+// the scalar "before" next to the integer-GEMV portable/AVX2/AVX-512
+// "after" on every run (the POPCNT tier runs the portable GEMV). The label records the tier actually installed
 // (requests above the machine's support clamp down).
 void BM_MvmPackedIsa(benchmark::State& state, perf::MvmIsa isa) {
   const auto rows = state.range(0);

@@ -41,15 +41,18 @@ std::vector<xbar::LogicalXbar> build_group_xbars(const nn::DeconvLayerSpec& spec
 }
 
 // Trial-invariant half of the programmed fast path: config, schedule, and a
-// cached binding of one input tensor to its encoded pixels. Shared (const)
+// cached binding of one input tensor to its checked pixels. Shared (const)
 // across every perturbed or faulted sibling, so Monte Carlo trials and fault
-// campaigns pay the schedule walk and the input encode exactly once.
+// campaigns pay the schedule walk and the input check exactly once.
 struct RedProgram {
   struct BoundInput {
     Tensor<std::int32_t> input;  ///< the bound tensor (cache validity check)
-    /// Each input pixel's C-channel vector, range-checked and bit-packed once
-    /// (perf::encode_input layout): pixel p = h * iw + w owns the
-    /// pixel_words x planes_pad words at p * pixel_words * planes_pad.
+    /// Ideal ADC: each input pixel's C-channel vector, range-checked once;
+    /// pixel p = h * iw + w owns the C values at p * C.
+    std::vector<std::int32_t> pixels;
+    /// Clipped ADC: each pixel's vector bit-packed once instead
+    /// (perf::encode_input layout), the pixel_words x planes_pad words at
+    /// p * pixel_words * planes_pad.
     std::vector<std::uint64_t> planes;
     std::vector<perf::EncodeSummary> sums;  ///< [pixel]
   };
@@ -57,6 +60,9 @@ struct RedProgram {
   arch::DesignConfig cfg;
   nn::DeconvLayerSpec spec;
   ZeroSkipSchedule schedule;
+  /// Bit-accurate through a clipped ADC: the only runs the popcount kernel
+  /// serves; everything else is exact and runs the GEMV.
+  bool clipped;
   int planes_pad;
   std::int64_t pixel_words;  ///< 64-bit words per plane of one pixel: ceil(C / 64)
   mutable std::mutex mu;
@@ -66,6 +72,7 @@ struct RedProgram {
       : cfg(std::move(c)),
         spec(s),
         schedule(s, fold, cfg.lookahead_h, cfg.lookaside_d),
+        clipped(cfg.bit_accurate && cfg.quant.adc.mode != xbar::AdcMode::kIdeal),
         planes_pad(perf::packed_planes_pad(cfg.quant)),
         pixel_words((s.c + 63) / 64) {}
 
@@ -75,13 +82,15 @@ struct RedProgram {
       : cfg(std::move(c)),
         spec(s),
         schedule(s, fold, cfg.lookahead_h, cfg.lookaside_d, std::move(groups)),
+        clipped(cfg.bit_accurate && cfg.quant.adc.mode != xbar::AdcMode::kIdeal),
         planes_pad(perf::packed_planes_pad(cfg.quant)),
         pixel_words((s.c + 63) / 64) {}
 
-  /// Encode every pixel of `input` (or return the cached binding when it is
-  /// the same tensor), pixels chunked over `threads` lanes. Serialized:
-  /// concurrent first callers wait while one builds. An out-of-range
-  /// activation throws ContractViolation and leaves nothing cached.
+  /// Check and summarize every pixel of `input`, packing it too for a
+  /// clipped ADC (or return the cached binding when it is the same tensor),
+  /// pixels chunked over `threads` lanes. Serialized: concurrent first
+  /// callers wait while one builds. An out-of-range activation throws
+  /// ContractViolation and leaves nothing cached.
   std::shared_ptr<const BoundInput> bind(const Tensor<std::int32_t>& input, int threads) const {
     std::lock_guard<std::mutex> lock(mu);
     if (bound != nullptr && bound->input == input) return bound;
@@ -92,16 +101,23 @@ struct RedProgram {
     b->input = input;
     const std::int64_t pixels = std::int64_t{spec.ih} * spec.iw;
     const std::int64_t stride = pixel_words * planes_pad;
-    b->planes.resize(static_cast<std::size_t>(pixels * stride));
+    if (clipped)
+      b->planes.resize(static_cast<std::size_t>(pixels * stride));
+    else
+      b->pixels.resize(static_cast<std::size_t>(pixels * spec.c));
     b->sums.resize(static_cast<std::size_t>(pixels));
     perf::parallel_chunks(perf::chunk_count(threads, pixels), pixels,
                           [&](std::int64_t, std::int64_t p0, std::int64_t p1) {
-      std::vector<std::int32_t> channels(static_cast<std::size_t>(spec.c));
+      std::vector<std::int32_t> packing(clipped ? static_cast<std::size_t>(spec.c) : 0);
       for (std::int64_t p = p0; p < p1; ++p) {
+        const std::span<std::int32_t> channels(
+            clipped ? packing.data() : b->pixels.data() + p * spec.c,
+            static_cast<std::size_t>(spec.c));
         for (int c = 0; c < spec.c; ++c)
           channels[static_cast<std::size_t>(c)] = input.ptr(0, c)[p];
         b->sums[static_cast<std::size_t>(p)] =
-            perf::encode_input(channels, cfg.quant, b->planes.data() + p * stride);
+            clipped ? perf::encode_input(channels, cfg.quant, b->planes.data() + p * stride)
+                    : perf::summarize_input(channels, cfg.quant);
       }
     }, "red.bind_chunk");
     bound = b;
@@ -126,13 +142,10 @@ class RedProgrammedLayer final : public arch::ProgrammedLayer {
     const int num_groups = static_cast<int>(schedule.groups().size());
     const std::int64_t out_plane = std::int64_t{spec.oh()} * spec.ow();
     const int phases = schedule.phases();
-    const int planes_pad = prog_->planes_pad;
-    const std::int64_t pixel_stride = prog_->pixel_words * planes_pad;
 
     Tensor<std::int32_t> out(spec.output_shape());
-    // Same chunked group walk as RedDesign::run, but each group assembles its
-    // whole cycle sequence from the bound pixel encodings (a sub-crossbar's
-    // pixel lands at rows sc_index * C) and runs it as one pre-packed MVM batch.
+    // Same chunked group walk as RedDesign::run, fed from the bound pixels:
+    // a sub-crossbar's pixel drives rows sc_index * C of its group crossbar.
     const std::int64_t chunks = perf::chunk_count(threads, num_groups);
     std::vector<arch::RunStats> chunk_stats(static_cast<std::size_t>(chunks));
     perf::parallel_chunks(chunks, num_groups, [&](std::int64_t t, std::int64_t g0,
@@ -143,42 +156,38 @@ class RedProgrammedLayer final : public arch::ProgrammedLayer {
       // one-shot RedDesign::run).
       thread_local GroupScratch scratch;
       std::vector<std::int64_t> group_acc(static_cast<std::size_t>(spec.m));
+      const auto emit = [&](bool produces_output, int out_y, int out_x) {
+        if (produces_output)
+          for (int m = 0; m < spec.m; ++m)
+            out.data()[m * out_plane + std::int64_t{out_y} * spec.ow() + out_x] =
+                static_cast<std::int32_t>(group_acc[static_cast<std::size_t>(m)]);
+      };
       for (std::int64_t gi = g0; gi < g1; ++gi) {
         const auto& xb = xbars_[static_cast<std::size_t>(gi)];
-        const std::int64_t words = xb.packed_words();
-        const std::int64_t stride = words * planes_pad;
-        scratch.planes.assign(static_cast<std::size_t>(num_cycles * stride), 0);
-        scratch.sums.assign(static_cast<std::size_t>(num_cycles), {});
-        scratch.meta.resize(static_cast<std::size_t>(num_cycles));
+        if (prog_->clipped) {
+          run_group_clipped(xb, static_cast<int>(gi), *bound, scratch, group_acc, emit,
+                            &local.mvm);
+          continue;
+        }
+        // Ideal ADC: each cycle adds one C x M block GEMV per active
+        // sub-crossbar straight into the fold accumulator; the inactive
+        // sub-crossbars' rows are never read. A block spans phases()
+        // coalesced cycles (== fold with the lookahead/lookaside window off).
+        perf::BlockMvm mvm(xb, &local.mvm);
         for (std::int64_t ci = 0; ci < num_cycles; ++ci) {
           schedule.group_work(ci, static_cast<int>(gi), scratch.work);
-          std::uint64_t* cycle_planes = scratch.planes.data() + ci * stride;
-          auto& sum = scratch.sums[static_cast<std::size_t>(ci)];
+          if (ci % phases == 0) std::fill(group_acc.begin(), group_acc.end(), 0);
+          perf::EncodeSummary sum;
           for (const auto& in : scratch.work.inputs) {
             if (!in.active) continue;  // zero-skip: padded zeros are never streamed
             const std::int64_t p = std::int64_t{in.h} * spec.iw + in.w;
             sum += bound->sums[static_cast<std::size_t>(p)];
-            perf::or_packed_at(cycle_planes, words, bound->planes.data() + p * pixel_stride,
-                               prog_->pixel_words, planes_pad,
-                               std::int64_t{in.sc_index} * spec.c);
+            mvm.add(std::int64_t{in.sc_index} * spec.c,
+                    {bound->pixels.data() + p * spec.c, static_cast<std::size_t>(spec.c)},
+                    group_acc.data());
           }
-          scratch.meta[static_cast<std::size_t>(ci)] = {
-              scratch.work.out_y, scratch.work.out_x, scratch.work.produces_output};
-        }
-        const auto partials = perf::mvm_prepacked(xb, scratch.planes, scratch.sums,
-                                                  prog_->cfg.bit_accurate, scratch.ws,
-                                                  &local.mvm);
-        for (std::int64_t ci = 0; ci < num_cycles; ++ci) {
-          // A block spans phases() coalesced cycles (== fold with the
-          // lookahead/lookaside window off).
-          if (ci % phases == 0) std::fill(group_acc.begin(), group_acc.end(), 0);
-          const std::int64_t* p = partials.data() + ci * spec.m;
-          for (int m = 0; m < spec.m; ++m) group_acc[static_cast<std::size_t>(m)] += p[m];
-          const auto& meta = scratch.meta[static_cast<std::size_t>(ci)];
-          if (meta.produces_output)
-            for (int m = 0; m < spec.m; ++m)
-              out.data()[m * out_plane + std::int64_t{meta.out_y} * spec.ow() + meta.out_x] =
-                  static_cast<std::int32_t>(group_acc[static_cast<std::size_t>(m)]);
+          mvm.end_call(sum);
+          emit(scratch.work.produces_output, scratch.work.out_y, scratch.work.out_x);
         }
       }
     }, "red.group_chunk");
@@ -237,6 +246,49 @@ class RedProgrammedLayer final : public arch::ProgrammedLayer {
     std::vector<perf::EncodeSummary> sums;  ///< [cycle]
     std::vector<CycleMeta> meta;            ///< [cycle]
   };
+
+  /// Clipped-ADC group walk: assemble every cycle's planes by OR-ing the
+  /// active pixels' planes in at row offset sc_index * C, run them as one
+  /// pre-packed MVM batch, then fold the partials into `group_acc` and hand
+  /// each cycle's output pixel to `emit`.
+  template <typename Emit>
+  void run_group_clipped(const xbar::LogicalXbar& xb, int gi, const RedProgram::BoundInput& bound,
+                         GroupScratch& scratch, std::vector<std::int64_t>& group_acc,
+                         const Emit& emit, xbar::MvmStats* mvm_stats) const {
+    const auto& spec = prog_->spec;
+    const auto& schedule = prog_->schedule;
+    const std::int64_t num_cycles = schedule.num_cycles();
+    const int planes_pad = prog_->planes_pad;
+    const std::int64_t pixel_stride = prog_->pixel_words * planes_pad;
+    const std::int64_t words = xb.packed_words();
+    const std::int64_t stride = words * planes_pad;
+    scratch.planes.assign(static_cast<std::size_t>(num_cycles * stride), 0);
+    scratch.sums.assign(static_cast<std::size_t>(num_cycles), {});
+    scratch.meta.resize(static_cast<std::size_t>(num_cycles));
+    for (std::int64_t ci = 0; ci < num_cycles; ++ci) {
+      schedule.group_work(ci, gi, scratch.work);
+      std::uint64_t* cycle_planes = scratch.planes.data() + ci * stride;
+      auto& sum = scratch.sums[static_cast<std::size_t>(ci)];
+      for (const auto& in : scratch.work.inputs) {
+        if (!in.active) continue;  // zero-skip: padded zeros are never streamed
+        const std::int64_t p = std::int64_t{in.h} * spec.iw + in.w;
+        sum += bound.sums[static_cast<std::size_t>(p)];
+        perf::or_packed_at(cycle_planes, words, bound.planes.data() + p * pixel_stride,
+                           prog_->pixel_words, planes_pad, std::int64_t{in.sc_index} * spec.c);
+      }
+      scratch.meta[static_cast<std::size_t>(ci)] = {
+          scratch.work.out_y, scratch.work.out_x, scratch.work.produces_output};
+    }
+    const auto partials =
+        perf::mvm_prepacked(xb, scratch.planes, scratch.sums, scratch.ws, mvm_stats);
+    for (std::int64_t ci = 0; ci < num_cycles; ++ci) {
+      if (ci % schedule.phases() == 0) std::fill(group_acc.begin(), group_acc.end(), 0);
+      const std::int64_t* p = partials.data() + ci * spec.m;
+      for (int m = 0; m < spec.m; ++m) group_acc[static_cast<std::size_t>(m)] += p[m];
+      const auto& meta = scratch.meta[static_cast<std::size_t>(ci)];
+      emit(meta.produces_output, meta.out_y, meta.out_x);
+    }
+  }
 
   std::shared_ptr<const RedProgram> prog_;
   std::vector<xbar::LogicalXbar> xbars_;

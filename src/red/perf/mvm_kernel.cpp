@@ -13,7 +13,17 @@
 
 #if defined(__x86_64__) || defined(__i386__)
 #define RED_MVM_X86 1
+// GCC 12's 512-bit intrinsics pass a self-initialized _mm512_undefined_*()
+// operand to their masked builtins, which -Wmaybe-uninitialized reports at
+// every inlined use (GCC bug 105593); the warning is about the header only.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
+#else
+#include <immintrin.h>
+#endif
 #else
 #define RED_MVM_X86 0
 #endif
@@ -48,23 +58,6 @@ int fast_pulse_count(std::int32_t a, const QuantConfig& q) {
     u >>= q.dac_bits;
   }
   return n;
-}
-
-/// Range-check the inputs and accumulate the activity summary shared by all
-/// kernel variants (matching the reference's per-row accounting exactly).
-EncodeSummary summarize_input(std::span<const std::int32_t> input, const QuantConfig& q) {
-  EncodeSummary s;
-  for (auto v : input) {
-    s.input_sum += v;
-    if (v == 0) {
-      // Still range-check: the reference encodes zero rows too.
-      (void)fast_pulse_count(v, q);
-      continue;
-    }
-    ++s.drives;
-    s.pulse_rows += fast_pulse_count(v, q);
-  }
-  return s;
 }
 
 // ---------------------------------------------------------------------------
@@ -200,12 +193,290 @@ std::int64_t clipped_kernel(const LogicalXbar& xbar, MvmWorkspace& ws, std::int6
 }
 
 // ---------------------------------------------------------------------------
-// Packed bit-plane kernels (MvmIsa::kPortable and up).
+// Integer GEMV kernels (ideal ADC and exact MVMs, MvmIsa::kPortable and up).
+//
+// With an ideal ADC no conversion clips, so the pulse/slice decomposition
+// recombines to the exact dot product over the decoded weights
+// (stored_weights(), offset already removed). Every kernel accumulates
+//
+//   out[c] += sum_{r < rows} in[r] * w[r * cols + c]
+//
+// in int64. AVX2/AVX-512 run across columns (one broadcast input row against
+// 4 or 8 int64 column lanes, in column tiles over ~32 KB row chunks) when
+// cols fills a vector, else across rows. They multiply zero rows instead of
+// branching on them: on real activations that branch mispredicts often
+// enough to cost more than the rows it skips.
+// ---------------------------------------------------------------------------
+
+using GemvFn = void (*)(const std::int32_t* in, std::int64_t rows, const std::int32_t* w,
+                        std::int64_t cols, std::int64_t* out);
+
+void gemv_portable(const std::int32_t* in, std::int64_t rows, const std::int32_t* w,
+                   std::int64_t cols, std::int64_t* out) {
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const std::int64_t x = in[r];
+    if (x == 0) continue;
+    const std::int32_t* wr = w + r * cols;
+    for (std::int64_t c = 0; c < cols; ++c) out[c] += x * wr[c];
+  }
+}
+
+#if RED_MVM_X86
+
+/// Rows per chunk of a column-tiled sweep: about 32 KB of weights, so a
+/// chunk's cache lines and pages stay resident while every column tile
+/// passes over it. One tile sweeping all rows of a wide block strides a
+/// whole row per step (2 KB on dcgan_l1) and misses the TLB and the
+/// hardware prefetchers.
+std::int64_t tile_chunk_rows(std::int64_t cols) {
+  constexpr std::int64_t kChunkBytes = 32 * 1024;
+  return std::max<std::int64_t>(1, kChunkBytes / (cols * std::int64_t{sizeof(std::int32_t)}));
+}
+
+/// Row-vectorized form for cols < kLanes: kLanes rows of the row-major block
+/// are kCols consecutive vectors of kLanes weights; lane i of vector v holds
+/// row (v * kLanes + i) / kCols, column (v * kLanes + i) % kCols. Each vector
+/// keeps its own accumulator, reduced into columns once at the end. idx[v]
+/// is that row index at the even int32 positions (the low half of each
+/// int64 lane, all vpmuldq reads).
+template <int kLanes, int kCols>
+void gemv_row_indices(std::int32_t (&idx)[kCols][2 * kLanes]) {
+  for (int v = 0; v < kCols; ++v)
+    for (int i = 0; i < kLanes; ++i) {
+      idx[v][2 * i] = (v * kLanes + i) / kCols;
+      idx[v][2 * i + 1] = 0;
+    }
+}
+
+template <int kLanes, int kCols>
+void gemv_row_finish(const std::int64_t (&lanes)[kCols][kLanes], const std::int32_t* in,
+                     std::int64_t r0, std::int64_t rows, const std::int32_t* w,
+                     std::int64_t* out) {
+  std::int64_t acc[kCols] = {};
+  for (int v = 0; v < kCols; ++v)
+    for (int i = 0; i < kLanes; ++i) acc[(v * kLanes + i) % kCols] += lanes[v][i];
+  for (std::int64_t r = r0; r < rows; ++r)
+    for (int c = 0; c < kCols; ++c) acc[c] += std::int64_t{in[r]} * w[r * kCols + c];
+  for (int c = 0; c < kCols; ++c) out[c] += acc[c];
+}
+
+template <int kCols>
+__attribute__((target("avx2"))) void gemv_rows_avx2(const std::int32_t* in, std::int64_t rows,
+                                                    const std::int32_t* w, std::int64_t* out) {
+  std::int32_t idx_tab[kCols][8];
+  gemv_row_indices<4, kCols>(idx_tab);
+  __m256i idx[kCols], acc[kCols];
+  for (int v = 0; v < kCols; ++v) {
+    idx[v] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx_tab[v]));
+    acc[v] = _mm256_setzero_si256();
+  }
+  std::int64_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    const __m256i x = _mm256_zextsi128_si256(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + r)));
+    const std::int32_t* wr = w + r * kCols;
+    for (int v = 0; v < kCols; ++v) {
+      const __m256i wv = _mm256_cvtepi32_epi64(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(wr + 4 * v)));
+      acc[v] = _mm256_add_epi64(acc[v],
+                                _mm256_mul_epi32(_mm256_permutevar8x32_epi32(x, idx[v]), wv));
+    }
+  }
+  std::int64_t lanes[kCols][4];
+  for (int v = 0; v < kCols; ++v)
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes[v]), acc[v]);
+  gemv_row_finish<4, kCols>(lanes, in, r, rows, w, out);
+}
+
+/// Column-vectorized AVX2 tile: kVecs * 4 columns (the last vector masked to
+/// `tail` columns) held in registers across the whole row sweep.
+template <int kVecs>
+__attribute__((target("avx2"))) void gemv_cols_avx2(const std::int32_t* in, std::int64_t rows,
+                                                    const std::int32_t* w, std::int64_t cols,
+                                                    std::int64_t* out, int tail) {
+  const __m128i tail32 = _mm_cmpgt_epi32(_mm_set1_epi32(tail), _mm_setr_epi32(0, 1, 2, 3));
+  const __m256i tail64 = _mm256_cvtepi32_epi64(tail32);
+  constexpr int kLast = kVecs - 1;
+  __m256i acc[kVecs];
+  for (int v = 0; v < kLast; ++v)
+    acc[v] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(out + 4 * v));
+  acc[kLast] = _mm256_maskload_epi64(reinterpret_cast<const long long*>(out + 4 * kLast), tail64);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const __m256i b = _mm256_set1_epi64x(in[r]);
+    const std::int32_t* wr = w + r * cols;
+    for (int v = 0; v < kLast; ++v)
+      acc[v] = _mm256_add_epi64(
+          acc[v], _mm256_mul_epi32(_mm256_cvtepi32_epi64(_mm_loadu_si128(
+                                       reinterpret_cast<const __m128i*>(wr + 4 * v))),
+                                   b));
+    acc[kLast] = _mm256_add_epi64(
+        acc[kLast],
+        _mm256_mul_epi32(_mm256_cvtepi32_epi64(_mm_maskload_epi32(wr + 4 * kLast, tail32)), b));
+  }
+  for (int v = 0; v < kLast; ++v)
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 4 * v), acc[v]);
+  _mm256_maskstore_epi64(reinterpret_cast<long long*>(out + 4 * kLast), tail64, acc[kLast]);
+}
+
+void gemv_avx2(const std::int32_t* in, std::int64_t rows, const std::int32_t* w,
+               std::int64_t cols, std::int64_t* out) {
+  switch (cols) {
+    case 1:
+      return gemv_rows_avx2<1>(in, rows, w, out);
+    case 2:
+      return gemv_rows_avx2<2>(in, rows, w, out);
+    case 3:
+      return gemv_rows_avx2<3>(in, rows, w, out);
+    default:
+      break;
+  }
+  const std::int64_t chunk = tile_chunk_rows(cols);
+  for (std::int64_t r0 = 0; r0 < rows; r0 += chunk) {
+    const std::int64_t nr = std::min(chunk, rows - r0);
+    const std::int32_t* wc = w + r0 * cols;
+    for (std::int64_t c0 = 0; c0 < cols; c0 += 16) {
+      const int n = static_cast<int>(std::min<std::int64_t>(16, cols - c0));
+      const int tail = n - 4 * ((n - 1) / 4);
+      switch ((n + 3) / 4) {
+        case 1:
+          gemv_cols_avx2<1>(in + r0, nr, wc + c0, cols, out + c0, tail);
+          break;
+        case 2:
+          gemv_cols_avx2<2>(in + r0, nr, wc + c0, cols, out + c0, tail);
+          break;
+        case 3:
+          gemv_cols_avx2<3>(in + r0, nr, wc + c0, cols, out + c0, tail);
+          break;
+        default:
+          gemv_cols_avx2<4>(in + r0, nr, wc + c0, cols, out + c0, tail);
+          break;
+      }
+    }
+  }
+}
+
+template <int kCols>
+__attribute__((target("avx512f,avx512vl"))) void gemv_rows_avx512(const std::int32_t* in,
+                                                                  std::int64_t rows,
+                                                                  const std::int32_t* w,
+                                                                  std::int64_t* out) {
+  std::int32_t idx_tab[kCols][16];
+  gemv_row_indices<8, kCols>(idx_tab);
+  __m512i idx[kCols], acc[kCols];
+  for (int v = 0; v < kCols; ++v) {
+    idx[v] = _mm512_loadu_si512(idx_tab[v]);
+    acc[v] = _mm512_setzero_si512();
+  }
+  std::int64_t r = 0;
+  for (; r + 8 <= rows; r += 8) {
+    const __m512i x = _mm512_zextsi256_si512(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + r)));
+    const std::int32_t* wr = w + r * kCols;
+    for (int v = 0; v < kCols; ++v) {
+      const __m512i wv = _mm512_cvtepi32_epi64(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(wr + 8 * v)));
+      acc[v] = _mm512_add_epi64(acc[v], _mm512_mul_epi32(_mm512_permutexvar_epi32(idx[v], x), wv));
+    }
+  }
+  std::int64_t lanes[kCols][8];
+  for (int v = 0; v < kCols; ++v) _mm512_storeu_si512(lanes[v], acc[v]);
+  gemv_row_finish<8, kCols>(lanes, in, r, rows, w, out);
+}
+
+/// Column-vectorized AVX-512 tile: kVecs * 8 columns (the last vector masked
+/// to `tail`) held in registers across the whole row sweep.
+template <int kVecs>
+__attribute__((target("avx512f,avx512vl"))) void gemv_cols_avx512(
+    const std::int32_t* in, std::int64_t rows, const std::int32_t* w, std::int64_t cols,
+    std::int64_t* out, __mmask8 tail) {
+  constexpr int kLast = kVecs - 1;
+  __m512i acc[kVecs];
+  for (int v = 0; v < kLast; ++v) acc[v] = _mm512_loadu_si512(out + 8 * v);
+  acc[kLast] = _mm512_maskz_loadu_epi64(tail, out + 8 * kLast);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const __m512i b = _mm512_set1_epi64(in[r]);
+    const std::int32_t* wr = w + r * cols;
+    for (int v = 0; v < kLast; ++v)
+      acc[v] = _mm512_add_epi64(
+          acc[v], _mm512_mul_epi32(_mm512_cvtepi32_epi64(_mm256_loadu_si256(
+                                       reinterpret_cast<const __m256i*>(wr + 8 * v))),
+                                   b));
+    acc[kLast] = _mm512_add_epi64(
+        acc[kLast],
+        _mm512_mul_epi32(_mm512_cvtepi32_epi64(_mm256_maskz_loadu_epi32(tail, wr + 8 * kLast)),
+                         b));
+  }
+  for (int v = 0; v < kLast; ++v) _mm512_storeu_si512(out + 8 * v, acc[v]);
+  _mm512_mask_storeu_epi64(out + 8 * kLast, tail, acc[kLast]);
+}
+
+void gemv_avx512(const std::int32_t* in, std::int64_t rows, const std::int32_t* w,
+                 std::int64_t cols, std::int64_t* out) {
+  switch (cols) {
+    case 1:
+      return gemv_rows_avx512<1>(in, rows, w, out);
+    case 2:
+      return gemv_rows_avx512<2>(in, rows, w, out);
+    case 3:
+      return gemv_rows_avx512<3>(in, rows, w, out);
+    case 4:
+      return gemv_rows_avx512<4>(in, rows, w, out);
+    case 5:
+      return gemv_rows_avx512<5>(in, rows, w, out);
+    case 6:
+      return gemv_rows_avx512<6>(in, rows, w, out);
+    case 7:
+      return gemv_rows_avx512<7>(in, rows, w, out);
+    default:
+      break;
+  }
+  const std::int64_t chunk = tile_chunk_rows(cols);
+  for (std::int64_t r0 = 0; r0 < rows; r0 += chunk) {
+    const std::int64_t nr = std::min(chunk, rows - r0);
+    const std::int32_t* wc = w + r0 * cols;
+    for (std::int64_t c0 = 0; c0 < cols; c0 += 32) {
+      const int n = static_cast<int>(std::min<std::int64_t>(32, cols - c0));
+      const auto tail = static_cast<__mmask8>((1u << (n - 8 * ((n - 1) / 8))) - 1u);
+      switch ((n + 7) / 8) {
+        case 1:
+          gemv_cols_avx512<1>(in + r0, nr, wc + c0, cols, out + c0, tail);
+          break;
+        case 2:
+          gemv_cols_avx512<2>(in + r0, nr, wc + c0, cols, out + c0, tail);
+          break;
+        case 3:
+          gemv_cols_avx512<3>(in + r0, nr, wc + c0, cols, out + c0, tail);
+          break;
+        default:
+          gemv_cols_avx512<4>(in + r0, nr, wc + c0, cols, out + c0, tail);
+          break;
+      }
+    }
+  }
+}
+
+#endif  // RED_MVM_X86
+
+GemvFn gemv_fn(MvmIsa isa) {
+  switch (isa) {
+#if RED_MVM_X86
+    case MvmIsa::kAvx2:
+      return &gemv_avx2;
+    case MvmIsa::kAvx512:
+      return &gemv_avx512;
+#endif
+    default:
+      return &gemv_portable;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Packed bit-plane kernels (clipped ADC, MvmIsa::kPortable and up).
 //
 // Both operand sides are bitmaps over the rows: LogicalXbar keeps one packed
 // plane per stored-level bit u (weight planes, per column), and encode_packed
-// lays down one plane per input bit j. Every kernel then reduces to weighted
-// popcounts of plane intersections:
+// lays down one plane per input bit j. The clipped kernel then reduces to
+// weighted popcounts of plane intersections:
 //
 //   L[j][u] = popcount(in_plane_j & w_plane_u[c])   (ones shared by bit j of
 //                                                    the input and bit u of
@@ -391,31 +662,6 @@ void encode_packed(std::span<const std::int32_t> input, const QuantConfig& q, in
   }
 }
 
-/// Packed ideal-ADC kernel (also the exact-MVM path): per column one
-/// lane_sums pass over all weight planes yields S_j = sum_u 2^u * L[j][u],
-/// and out[c] = sum_j pw(j) * S_j - offset * input_sum, with pw(j) = -2^j on
-/// the two's-complement MSB plane and +2^j otherwise.
-void packed_ideal_kernel(const LogicalXbar& xbar, const EncodeSummary& sum,
-                         const std::uint64_t* ip, std::int64_t* out, LaneSumsFn fn) {
-  const std::int64_t cols = xbar.cols();
-  const std::int64_t words = xbar.packed_words();
-  const QuantConfig& q = xbar.config();
-  const int planes_pad = packed_planes_pad(q);
-  const std::int64_t correction = std::int64_t{q.weight_offset()} * sum.input_sum;
-  std::int64_t lanes[kMaxPlanesPad];
-  for (std::int64_t c = 0; c < cols; ++c) {
-    fn(ip, words, planes_pad, xbar.packed_col_planes(c),
-       xbar.packed_weight_planes(), lanes);
-    std::int64_t o = 0;
-    for (int j = 0; j < q.abits; ++j) {
-      const std::int64_t pw = (q.dac_bits == 1 && j == q.abits - 1) ? -(std::int64_t{1} << j)
-                                                                    : (std::int64_t{1} << j);
-      o += pw * lanes[j];
-    }
-    out[c] = o - correction;
-  }
-}
-
 /// Packed clipped-ADC kernel: per (column, slice) one lane_sums pass over the
 /// slice's cell_bits weight planes yields lane[s][j] = the slice-s column
 /// current contribution of input bit-plane j; the DAC digits of each pulse
@@ -515,6 +761,19 @@ void count_call(MvmStats* stats, const LogicalXbar& xbar, const EncodeSummary& s
   stats->adc_clips += clips;
 }
 
+/// Whether an MVM call at `isa` bit-packs its input: only the clipped ADC's
+/// popcount kernel reads packed planes.
+bool packs_input(const LogicalXbar& xbar, MvmIsa isa, bool bit_accurate) {
+  return bit_accurate && isa != MvmIsa::kScalar && xbar.config().adc.mode != AdcMode::kIdeal;
+}
+
+/// Ideal-ADC MVM of a whole range-checked input into `out` (cols() values).
+void gemv_into(const LogicalXbar& xbar, std::span<const std::int32_t> input, std::int64_t* out,
+               MvmIsa isa) {
+  std::fill(out, out + xbar.cols(), std::int64_t{0});
+  gemv_fn(isa)(input.data(), xbar.rows(), xbar.stored_weights().data(), xbar.cols(), out);
+}
+
 /// One bit-accurate MVM into `out` (cols() values). Assumes ws is prepared.
 void bit_accurate_into(const LogicalXbar& xbar, std::span<const std::int32_t> input,
                        MvmWorkspace& ws, std::int64_t* out, MvmStats* stats, MvmIsa isa) {
@@ -531,24 +790,20 @@ void bit_accurate_into(const LogicalXbar& xbar, std::span<const std::int32_t> in
       encode_streams(input, q, ws.streams.data());
       clips = clipped_kernel(xbar, ws, sum.input_sum, out);
     }
+  } else if (q.adc.mode == AdcMode::kIdeal) {
+    gemv_into(xbar, input, out, isa);
   } else {
-    const LaneSumsFn fn = lane_sums_fn(isa);
     encode_packed(input, q, packed_planes_pad(q), ws.in_planes.data());
-    if (q.adc.mode == AdcMode::kIdeal)
-      packed_ideal_kernel(xbar, sum, ws.in_planes.data(), out, fn);
-    else
-      clips = packed_clipped_kernel(xbar, sum, ws.in_planes.data(), out, fn);
+    clips = packed_clipped_kernel(xbar, sum, ws.in_planes.data(), out, lane_sums_fn(isa));
   }
   count_call(stats, xbar, sum, clips);
 }
 
 /// One exact MVM (ideal-ADC semantics regardless of the configured ADC) into
-/// `out`. Assumes ws is prepared. The packed tiers reuse the ideal kernel —
-/// with an ideal ADC the bit decomposition recombines to the exact integer
-/// dot product, so the result is identical and the popcount path is faster
-/// than the scalar row sweep.
-void exact_into(const LogicalXbar& xbar, std::span<const std::int32_t> input, MvmWorkspace& ws,
-                std::int64_t* out, MvmStats* stats, MvmIsa isa) {
+/// `out`. The kScalar tier keeps its own row sweep
+/// as the oracle; every other tier runs the GEMV of its tier.
+void exact_into(const LogicalXbar& xbar, std::span<const std::int32_t> input, std::int64_t* out,
+                MvmStats* stats, MvmIsa isa) {
   RED_EXPECTS_MSG(input.size() == static_cast<std::size_t>(xbar.rows()),
                   "input size mismatch");
   const std::int64_t rows = xbar.rows();
@@ -557,8 +812,7 @@ void exact_into(const LogicalXbar& xbar, std::span<const std::int32_t> input, Mv
 
   if (isa != MvmIsa::kScalar) {
     const EncodeSummary sum = summarize_input(input, q);
-    encode_packed(input, q, packed_planes_pad(q), ws.in_planes.data());
-    packed_ideal_kernel(xbar, sum, ws.in_planes.data(), out, lane_sums_fn(isa));
+    gemv_into(xbar, input, out, isa);
     count_call(stats, xbar, sum, 0);
     return;
   }
@@ -617,6 +871,21 @@ MvmIsa mvm_detected_isa() { return detect_isa(); }
 
 int packed_planes_pad(const QuantConfig& q) { return (q.abits + 3) & ~3; }
 
+EncodeSummary summarize_input(std::span<const std::int32_t> input, const QuantConfig& q) {
+  EncodeSummary s;
+  for (auto v : input) {
+    s.input_sum += v;
+    if (v == 0) {
+      // Still range-check: the reference encodes zero rows too.
+      (void)fast_pulse_count(v, q);
+      continue;
+    }
+    ++s.drives;
+    s.pulse_rows += fast_pulse_count(v, q);
+  }
+  return s;
+}
+
 EncodeSummary encode_input(std::span<const std::int32_t> input, const QuantConfig& q,
                            std::uint64_t* planes) {
   const EncodeSummary sum = summarize_input(input, q);
@@ -644,9 +913,9 @@ void or_packed_at(std::uint64_t* dst, std::int64_t dst_words, const std::uint64_
 std::span<const std::int64_t> mvm_prepacked(const LogicalXbar& xbar,
                                             std::span<const std::uint64_t> planes,
                                             std::span<const EncodeSummary> sums,
-                                            bool bit_accurate, MvmWorkspace& ws,
-                                            MvmStats* stats) {
+                                            MvmWorkspace& ws, MvmStats* stats) {
   const QuantConfig& q = xbar.config();
+  RED_EXPECTS_MSG(q.adc.mode != AdcMode::kIdeal, "pre-packed MVMs model a clipped ADC");
   const auto batch = static_cast<std::int64_t>(sums.size());
   const std::int64_t stride = xbar.packed_words() * packed_planes_pad(q);
   RED_EXPECTS_MSG(planes.size() == static_cast<std::size_t>(batch * stride),
@@ -656,20 +925,37 @@ std::span<const std::int64_t> mvm_prepacked(const LogicalXbar& xbar,
   const MvmStats before = (m != nullptr && stats != nullptr) ? *stats : MvmStats{};
   ws.prepare(xbar.rows(), xbar.cols(), q.pulses(), batch);
   const LaneSumsFn fn = lane_sums_fn(isa);
-  const bool clipped = bit_accurate && q.adc.mode != AdcMode::kIdeal;
   for (std::int64_t v = 0; v < batch; ++v) {
-    const std::uint64_t* ip = planes.data() + v * stride;
     const EncodeSummary& sum = sums[static_cast<std::size_t>(v)];
-    std::int64_t* out = ws.out.data() + v * xbar.cols();
-    std::int64_t clips = 0;
-    if (clipped)
-      clips = packed_clipped_kernel(xbar, sum, ip, out, fn);
-    else
-      packed_ideal_kernel(xbar, sum, ip, out, fn);
+    const std::int64_t clips = packed_clipped_kernel(xbar, sum, planes.data() + v * stride,
+                                                     ws.out.data() + v * xbar.cols(), fn);
     count_call(stats, xbar, sum, clips);
   }
   if (m != nullptr && batch > 0) record_mvm_call(m, isa, batch, stats, before);
   return {ws.out.data(), static_cast<std::size_t>(batch * xbar.cols())};
+}
+
+BlockMvm::BlockMvm(const LogicalXbar& xbar, MvmStats* stats)
+    : xbar_(xbar),
+      stats_(stats),
+      isa_(std::max(mvm_active_isa(), MvmIsa::kPortable)),
+      fn_(gemv_fn(isa_)),
+      before_(stats != nullptr ? *stats : MvmStats{}) {}
+
+BlockMvm::~BlockMvm() {
+  if (auto* m = telemetry::metrics(); m != nullptr && calls_ > 0)
+    record_mvm_call(m, isa_, calls_, stats_, before_);
+}
+
+void BlockMvm::add(std::int64_t row0, std::span<const std::int32_t> in, std::int64_t* out) const {
+  const auto rows = static_cast<std::int64_t>(in.size());
+  RED_EXPECTS(row0 >= 0 && row0 + rows <= xbar_.rows());
+  fn_(in.data(), rows, xbar_.stored_weights().data() + row0 * xbar_.cols(), xbar_.cols(), out);
+}
+
+void BlockMvm::end_call(const EncodeSummary& sum) {
+  count_call(stats_, xbar_, sum, 0);
+  ++calls_;
 }
 
 MvmIsa mvm_active_isa() { return static_cast<MvmIsa>(active_isa_slot().load(std::memory_order_relaxed)); }
@@ -704,7 +990,7 @@ std::span<const std::int64_t> mvm_bit_accurate(const LogicalXbar& xbar,
   auto* m = telemetry::metrics();
   const MvmStats before = (m != nullptr && stats != nullptr) ? *stats : MvmStats{};
   ws.prepare(xbar.rows(), xbar.cols(), xbar.config().pulses());
-  if (isa != MvmIsa::kScalar) ws.prepare_packed(xbar.rows(), packed_planes_pad(xbar.config()));
+  if (packs_input(xbar, isa, true)) ws.prepare_packed(xbar.rows(), packed_planes_pad(xbar.config()));
   bit_accurate_into(xbar, input, ws, ws.out.data(), stats, isa);
   if (m != nullptr) record_mvm_call(m, isa, 1, stats, before);
   return {ws.out.data(), static_cast<std::size_t>(xbar.cols())};
@@ -717,8 +1003,7 @@ std::span<const std::int64_t> mvm_exact(const LogicalXbar& xbar,
   auto* m = telemetry::metrics();
   const MvmStats before = (m != nullptr && stats != nullptr) ? *stats : MvmStats{};
   ws.prepare(xbar.rows(), xbar.cols(), xbar.config().pulses());
-  if (isa != MvmIsa::kScalar) ws.prepare_packed(xbar.rows(), packed_planes_pad(xbar.config()));
-  exact_into(xbar, input, ws, ws.out.data(), stats, isa);
+  exact_into(xbar, input, ws.out.data(), stats, isa);
   if (m != nullptr) record_mvm_call(m, isa, 1, stats, before);
   return {ws.out.data(), static_cast<std::size_t>(xbar.cols())};
 }
@@ -733,7 +1018,7 @@ std::span<const std::int64_t> mvm_batch(const LogicalXbar& xbar,
   auto* m = telemetry::metrics();
   const MvmStats before = (m != nullptr && stats != nullptr) ? *stats : MvmStats{};
   ws.prepare(xbar.rows(), xbar.cols(), xbar.config().pulses(), batch);
-  if (isa != MvmIsa::kScalar) ws.prepare_packed(xbar.rows(), packed_planes_pad(xbar.config()));
+  if (packs_input(xbar, isa, bit_accurate)) ws.prepare_packed(xbar.rows(), packed_planes_pad(xbar.config()));
   const auto rows = static_cast<std::size_t>(xbar.rows());
   for (std::int64_t v = 0; v < batch; ++v) {
     const auto input = inputs.subspan(static_cast<std::size_t>(v) * rows, rows);
@@ -741,7 +1026,7 @@ std::span<const std::int64_t> mvm_batch(const LogicalXbar& xbar,
     if (bit_accurate)
       bit_accurate_into(xbar, input, ws, out, stats, isa);
     else
-      exact_into(xbar, input, ws, out, stats, isa);
+      exact_into(xbar, input, out, stats, isa);
   }
   if (m != nullptr && batch > 0) record_mvm_call(m, isa, batch, stats, before);
   return {ws.out.data(), static_cast<std::size_t>(batch * xbar.cols())};

@@ -1,38 +1,38 @@
-// Layout-optimized bit-serial MVM kernels.
+// Fast MVM kernels: an integer GEMV for ideal ADCs, packed bit-plane
+// popcount kernels for clipped ones.
 //
 // These are the fast counterparts of LogicalXbar::mvm_bit_accurate()'s
-// original column-major walk. The primary path works on packed bit-planes:
-// every stored-level bit of a column lives in LogicalXbar's packed weight
-// planes (one 64-bit-word bitmap per level bit), the input's bit-planes are
-// packed the same way into the workspace, and the per-(pulse, slice) analog
-// integration collapses to popcount(input_plane & weight_plane) sums — wide
-// enough to vectorize. Two regimes:
+// original column-major walk. Two regimes:
 //
-//  * ideal ADC — no clipping can occur, so the pulse/slice decomposition is
-//    algebraically collapsible: out[c] = sum_j pw(j) * sum_u 2^u *
-//    popcount(in_plane_j & w_plane_u[c]) minus the offset correction, where
-//    pw(j) = ±2^j is the bit-j pulse weight.
-//  * clipped ADC — per (column, slice) the cell_bits weight planes are
-//    popcount-combined into per-input-plane lane sums; the per-pulse DAC
-//    digits then recombine and saturate scalar-side, exactly like the
-//    reference (clip counts included).
+//  * ideal ADC (and every exact mvm()) — no conversion can clip, so the
+//    pulse/slice decomposition recombines to the exact integer dot product
+//    over the decoded weights: out[c] = sum_r in[r] * stored_weights()[r][c].
+//    The kernel is that GEMV, accumulated in int64, with no input encode.
+//  * clipped ADC — every stored-level bit of a column lives in LogicalXbar's
+//    packed weight planes (one 64-bit-word bitmap per level bit), the input's
+//    bit-planes are packed the same way, and per (column, slice) the
+//    cell_bits weight planes are popcount-combined into per-input-plane lane
+//    sums; the per-pulse DAC digits then recombine and saturate scalar-side,
+//    exactly like the reference (clip counts included).
 //
-// The popcount inner loop dispatches at runtime over the CPU's ISA (see
-// MvmIsa): a portable std::popcount build always exists, with POPCNT, AVX2,
-// and AVX512-VPOPCNTDQ specializations selected by CPU detection, overridable
-// via the RED_MVM_ISA environment variable or set_mvm_isa(). The original
-// scalar kernels are kept selectable (MvmIsa::kScalar) as in-process
-// equivalence oracles next to LogicalXbar::mvm_bit_accurate_reference().
+// Both inner loops dispatch at runtime over the CPU's ISA (see MvmIsa): a
+// portable build always exists, with POPCNT, AVX2 and AVX512 specializations
+// selected by CPU detection, overridable via the RED_MVM_ISA environment
+// variable or set_mvm_isa(). The GEMV has portable (also run at the popcnt
+// tier), AVX2 and AVX-512 forms. The original scalar kernels are kept
+// selectable (MvmIsa::kScalar) as in-process equivalence oracles next to
+// LogicalXbar::mvm_bit_accurate_reference().
 //
 // Every tier is bit-exact against the reference in outputs AND MvmStats
 // (tests/fast_path_equivalence_test.cpp gates this).
 //
 // Callers that stream one input vector into many MVMs (RED's programmed
-// layers feed each input pixel to every sub-crossbar that needs it) encode
+// layers feed each input pixel to every sub-crossbar that needs it) check
+// and summarize it once: with an ideal ADC they add one BlockMvm GEMV per
+// driven row block straight from that vector; with a clipped ADC they pack
 // it once with encode_input() and run mvm_prepacked() on the assembled
-// planes: pure popcount, no per-call range check or encode. The scalar pair
-// works on int32 rows, so under MvmIsa::kScalar mvm_prepacked() runs the
-// portable packed tier and counts its calls as portable; kScalar remains the
+// planes. Neither repeats the range check or the encode per call. Under
+// MvmIsa::kScalar both run and count the portable tier; kScalar remains the
 // kernel-level oracle for mvm_bit_accurate()/mvm_exact()/mvm_batch().
 #pragma once
 
@@ -44,10 +44,10 @@
 
 namespace red::perf {
 
-/// Instruction-set tiers of the MVM inner loop, ordered weakest to
+/// Instruction-set tiers of the MVM inner loops, ordered weakest to
 /// strongest. kScalar is the pre-packed scalar kernel pair (kept as an
-/// equivalence oracle); the rest are the packed bit-plane kernel with
-/// increasingly wide popcount implementations.
+/// equivalence oracle); the rest are the GEMV and packed bit-plane kernels
+/// with increasingly wide implementations.
 enum class MvmIsa : int {
   kScalar = 0,
   kPortable = 1,
@@ -86,13 +86,16 @@ struct EncodeSummary {
   }
 };
 
+/// Range-check `input` (ContractViolation on an activation outside the
+/// abits/DAC range, exactly as the MVM entries check it) and summarize it.
+[[nodiscard]] EncodeSummary summarize_input(std::span<const std::int32_t> input,
+                                            const xbar::QuantConfig& q);
+
 /// Input bit-planes per 64-row word of a packed vector: abits rounded up to
 /// a multiple of 4 (one 256-bit lane group); the pad planes stay zero.
 [[nodiscard]] int packed_planes_pad(const xbar::QuantConfig& q);
 
-/// Range-check `input` (ContractViolation on an activation outside the
-/// abits/DAC range, exactly as the MVM entries check it), summarize it, and
-/// bit-pack it word-major into `planes`: ceil(size / 64) * packed_planes_pad(q)
+/// summarize_input(), then bit-pack `input` word-major into `planes`: ceil(size / 64) * packed_planes_pad(q)
 /// words, bit r % 64 of planes[(r / 64) * planes_pad + j] = bit j of
 /// input[r] & (2^abits - 1).
 EncodeSummary encode_input(std::span<const std::int32_t> input, const xbar::QuantConfig& q,
@@ -105,17 +108,50 @@ EncodeSummary encode_input(std::span<const std::int32_t> input, const xbar::Quan
 void or_packed_at(std::uint64_t* dst, std::int64_t dst_words, const std::uint64_t* src,
                   std::int64_t src_words, int planes_pad, std::int64_t row0);
 
-/// Batched MVM over caller-packed inputs: vector v's planes are the
-/// xbar.packed_words() * packed_planes_pad() words at planes[v * that] and
-/// its summary is sums[v] (batch = sums.size()). Outputs, stats and
-/// telemetry equal mvm_batch() on the decoded inputs (bit_accurate picks the
-/// configured ADC, else exact semantics). Under MvmIsa::kScalar it runs and
+/// Batched clipped-ADC MVM over caller-packed inputs (the crossbar's ADC
+/// must clip): vector v's planes are the xbar.packed_words() *
+/// packed_planes_pad() words at planes[v * that] and its summary is sums[v]
+/// (batch = sums.size()). Outputs, stats and telemetry equal bit-accurate
+/// mvm_batch() on the decoded inputs. Under MvmIsa::kScalar it runs and
 /// counts the portable tier. Returns batch * cols() results in `ws.out`.
 std::span<const std::int64_t> mvm_prepacked(const xbar::LogicalXbar& xbar,
                                             std::span<const std::uint64_t> planes,
                                             std::span<const EncodeSummary> sums,
-                                            bool bit_accurate, MvmWorkspace& ws,
-                                            xbar::MvmStats* stats = nullptr);
+                                            MvmWorkspace& ws, xbar::MvmStats* stats = nullptr);
+
+/// Ideal-ADC MVMs of one crossbar assembled from row blocks, for callers
+/// that hold the input as one range-checked vector per block (RED: each
+/// active sub-crossbar's C rows take one bound pixel). add() is one integer
+/// GEMV on the tier active at construction, with no check or encode;
+/// end_call() accounts one MVM of the summed block summaries exactly as
+/// mvm_exact() would for the assembled input; the destructor records the
+/// calls in mvm.calls.<isa> / mvm.* telemetry. Under MvmIsa::kScalar it runs
+/// and counts the portable tier.
+class BlockMvm {
+ public:
+  BlockMvm(const xbar::LogicalXbar& xbar, xbar::MvmStats* stats);
+  ~BlockMvm();
+  BlockMvm(const BlockMvm&) = delete;
+  BlockMvm& operator=(const BlockMvm&) = delete;
+
+  /// out[c] += sum_r in[r] * stored_weights()[(row0 + r) * cols() + c], for
+  /// c < cols() and r < in.size().
+  void add(std::int64_t row0, std::span<const std::int32_t> in, std::int64_t* out) const;
+
+  /// Account one MVM whose driven rows summarize to `sum`.
+  void end_call(const EncodeSummary& sum);
+
+ private:
+  using GemvFn = void (*)(const std::int32_t* in, std::int64_t rows, const std::int32_t* w,
+                          std::int64_t cols, std::int64_t* out);
+
+  const xbar::LogicalXbar& xbar_;
+  xbar::MvmStats* stats_;
+  MvmIsa isa_;
+  GemvFn fn_;
+  xbar::MvmStats before_;
+  std::int64_t calls_ = 0;
+};
 
 /// Bit-accurate MVM through the configured ADC. Returns a span of cols()
 /// results living in `ws.out` (invalidated by the next kernel call on `ws`).

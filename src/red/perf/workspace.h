@@ -18,11 +18,11 @@ struct MvmWorkspace {
   /// digit row r drives during pulse b. Written by the kernel's encode pass
   /// (scalar clipped kernel only; the packed kernels use in_planes).
   std::vector<std::uint8_t> streams;
-  /// Packed input bit-planes for the popcount kernels, word-major so one
-  /// weight word broadcasts against all planes: in_planes[w * planes_pad + j]
-  /// is word w (rows 64w..64w+63) of input bit-plane j, with planes_pad the
-  /// plane count rounded up to a multiple of 4 (one 256-bit lane group); the
-  /// pad planes stay zero.
+  /// Packed input bit-planes for the clipped-ADC popcount kernel, word-major
+  /// so one weight word broadcasts against all planes:
+  /// in_planes[w * planes_pad + j] is word w (rows 64w..64w+63) of input
+  /// bit-plane j, with planes_pad the plane count rounded up to a multiple of
+  /// 4 (one 256-bit lane group); the pad planes stay zero.
   std::vector<std::uint64_t> in_planes;
   /// Per-pulse compacted list of driven wordlines (row index, digit value);
   /// built once per pulse and reused across the weight slices.

@@ -271,8 +271,11 @@ LogicalXbar::LogicalXbar(const LogicalXbar& clean, const VariationModel& var, Fa
                    << (config_.cell_bits * static_cast<int>(s));
     col_level_sums_[(i % static_cast<std::size_t>(cols_)) * static_cast<std::size_t>(slices) +
                     s] += static_cast<std::int64_t>(level) - static_cast<std::int64_t>(original);
-    // Patch the copied packed bit-planes in place: one bit per level bit of
-    // this cell, at row bit (r % 64) of word (r / 64) in plane s*cell_bits+t.
+    dirty = true;
+    // Patch the copied packed bit-planes (clipped ADCs only) in place: one
+    // bit per level bit of this cell, at row bit (r % 64) of word (r / 64) in
+    // plane s*cell_bits+t.
+    if (packed_planes_.empty()) return;
     const std::int64_t r = static_cast<std::int64_t>(i) / cols_;
     const std::int64_t c = static_cast<std::int64_t>(i) % cols_;
     const std::uint64_t row_bit = std::uint64_t{1} << (r & 63);
@@ -290,7 +293,6 @@ LogicalXbar::LogicalXbar(const LogicalXbar& clean, const VariationModel& var, Fa
       else
         word &= ~row_bit;
     }
-    dirty = true;
   };
 
   double p_star = 0.0;  // upper bound on any cell's change probability
@@ -384,6 +386,11 @@ void LogicalXbar::rebuild_packed_planes() {
   const int cell_bits = config_.cell_bits;
   const int num_planes = packed_weight_planes();
   packed_words_ = (rows_ + 63) >> 6;
+  // Only the clipped-ADC popcount kernel reads the planes.
+  if (config_.adc.mode == AdcMode::kIdeal) {
+    packed_planes_.clear();
+    return;
+  }
   packed_planes_.assign(static_cast<std::size_t>(cols_) * static_cast<std::size_t>(num_planes) *
                             static_cast<std::size_t>(packed_words_),
                         0);

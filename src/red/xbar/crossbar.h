@@ -97,13 +97,14 @@ class LogicalXbar {
     return level_plane(s)[static_cast<std::size_t>(r * cols_ + c)];
   }
 
-  /// Packed weight bit-planes backing the popcount kernels: per column,
-  /// one 64-bit-word bitmap per stored-level bit. Plane u = s * cell_bits + t
-  /// holds bit t of slice s over the rows (bit r of word r/64), so there are
-  /// slices() * cell_bits planes — one per level bit, covering out-of-range
-  /// levels a fault or stuck-at-max cell can program into a partial top
-  /// slice. Maintained by every constructor (sparse deltas update it in
-  /// place), never recomputed per MVM.
+  /// Packed weight bit-planes backing the clipped-ADC popcount kernel: per
+  /// column, one 64-bit-word bitmap per stored-level bit. Plane u =
+  /// s * cell_bits + t holds bit t of slice s over the rows (bit r of word
+  /// r/64), so there are slices() * cell_bits planes — one per level bit,
+  /// covering out-of-range levels a fault or stuck-at-max cell can program
+  /// into a partial top slice. Built by every constructor (sparse deltas
+  /// update them in place) only when the configured ADC clips: ideal-ADC and
+  /// exact MVMs run a GEMV over stored_weights() and never read them.
   [[nodiscard]] int packed_weight_planes() const {
     return config_.slices() * config_.cell_bits;
   }
@@ -112,7 +113,7 @@ class LogicalXbar {
   [[nodiscard]] std::int64_t packed_words() const { return packed_words_; }
 
   /// The packed_weight_planes() consecutive planes (packed_words() words
-  /// each) of column `c`, plane-major.
+  /// each) of column `c`, plane-major. Clipped ADCs only.
   [[nodiscard]] const std::uint64_t* packed_col_planes(std::int64_t c) const {
     return packed_planes_.data() +
            static_cast<std::size_t>(c) * static_cast<std::size_t>(packed_weight_planes()) *
@@ -160,8 +161,9 @@ class LogicalXbar {
   [[nodiscard]] const VariationStats& variation_stats() const { return variation_stats_; }
 
  private:
-  /// Rebuild packed_planes_ from levels_ (program/reprogram constructors; the
-  /// sparse-delta constructor patches the copied planes bit-by-bit instead).
+  /// Rebuild packed_planes_ from levels_, or leave them empty for an ideal
+  /// ADC (program/reprogram constructors; the sparse-delta constructor
+  /// patches the copied planes bit-by-bit instead).
   void rebuild_packed_planes();
 
   std::int64_t rows_;
@@ -170,7 +172,7 @@ class LogicalXbar {
   std::vector<std::int32_t> weights_;      ///< stored signed weights, row-major
   std::vector<std::uint8_t> levels_;       ///< cell levels, plane-major [slice][row][col]
   /// Packed weight bit-planes, [(c * packed_weight_planes() + u) * words + w]
-  /// (see packed_col_planes()).
+  /// (see packed_col_planes()); empty for an ideal ADC.
   std::vector<std::uint64_t> packed_planes_;
   std::int64_t packed_words_ = 0;
   /// Per-(col, slice) programmed-level sums backing lossless_adc_bits_; kept

@@ -15,6 +15,7 @@
 #include "red/common/math_util.h"
 #include "red/common/rng.h"
 #include "red/core/designs.h"
+#include "red/fault/inject.h"
 #include "red/perf/mvm_kernel.h"
 #include "red/perf/thread_pool.h"
 #include "red/perf/workspace.h"
@@ -343,6 +344,219 @@ TEST(FastPathEquivalence, PrePackedRedRunsMatchDesignRunOnWordStraddlingShapes) 
   }
   // The matrix must actually exercise the saturating-ADC kernel.
   EXPECT_GT(clipped_runs, 0);
+}
+
+/// The crossbars the ideal-ADC GEMV is gated over for one config: a clean
+/// one, a FastDeltaTag sibling (noise plus stuck-at-0/max cells) and an
+/// inject_faults sibling (stuck cells plus dead word- and bitlines). Both
+/// siblings derive their stored weights from patched or rebuilt levels.
+std::vector<LogicalXbar> gemv_xbars(Rng& rng, std::int64_t rows, std::int64_t cols,
+                                    const QuantConfig& q) {
+  std::vector<LogicalXbar> xbs;
+  xbs.emplace_back(rows, cols, random_weights(rng, rows * cols, q), q);
+  xbar::VariationModel var;
+  var.level_sigma = 0.3;
+  var.sa0_rate = 0.03;
+  var.sa1_rate = 0.08;
+  var.seed = static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 30));
+  xbs.emplace_back(xbs.front(), var, xbar::FastDeltaTag{});
+  fault::FaultModel faults;
+  faults.sa0_rate = 0.03;
+  faults.sa1_rate = 0.08;
+  faults.wordline_rate = 0.02;
+  faults.bitline_rate = 0.02;
+  faults.seed = static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 30));
+  xbs.push_back(fault::inject_faults(xbs.front(), faults, fault::RepairPolicy{}, 7));
+  return xbs;
+}
+
+/// Ideal-ADC MVMs run an integer GEMV over stored_weights() on every tier
+/// above kScalar. Against mvm_bit_accurate_reference() and the kScalar
+/// oracle, in outputs and MvmStats: mvm_bit_accurate(), mvm(), mvm_batch()
+/// both ways, and a BlockMvm assembling the same MVM from two row blocks
+/// split off a 64-row word boundary. Widths cover the row-vectorized forms
+/// (cols below one vector), masked column tails and multi-tile sweeps;
+/// 16-bit weights and activations with 1-bit (negative) and 2-bit DACs and
+/// 3-bit cells put stuck-at-max levels above the wbits range.
+TEST(FastPathEquivalence, GemvMatchesReferenceAndScalarOnEveryTier) {
+  const ScopedIsa restore;
+  std::vector<QuantConfig> quants;
+  for (const int dac_bits : {1, 2}) {
+    QuantConfig q;
+    q.wbits = 16;
+    q.abits = 16;
+    q.cell_bits = 3;
+    q.dac_bits = dac_bits;
+    quants.push_back(q);
+  }
+  {
+    QuantConfig q;  // 7-bit weights over 4 two-bit slices
+    q.wbits = 7;
+    q.abits = 5;
+    quants.push_back(q);
+  }
+  Rng rng(15015);
+  int out_of_range = 0;
+  for (const auto& q : quants) {
+    const std::int32_t half = q.weight_offset();
+    for (const std::int64_t rows : {std::int64_t{1}, std::int64_t{63}, std::int64_t{65},
+                                    std::int64_t{130}}) {
+      for (const std::int64_t cols : {1, 3, 7, 8, 21, 64, 256}) {
+        for (const auto& xb : gemv_xbars(rng, rows, cols, q)) {
+          for (const auto w : xb.stored_weights()) out_of_range += (w < -half || w >= half);
+          const auto in = random_input(rng, rows, q, /*include_zeros=*/true);
+          const auto in2 = random_input(rng, rows, q, /*include_zeros=*/false);
+          std::vector<std::int32_t> both(in);
+          both.insert(both.end(), in2.begin(), in2.end());
+          MvmStats ref_stats, ref_both_stats;
+          const auto ref = xb.mvm_bit_accurate_reference(in, &ref_stats);
+          auto ref_both = xb.mvm_bit_accurate_reference(in, &ref_both_stats);
+          const auto ref2 = xb.mvm_bit_accurate_reference(in2, &ref_both_stats);
+          ref_both.insert(ref_both.end(), ref2.begin(), ref2.end());
+          perf::set_mvm_isa(perf::MvmIsa::kScalar);
+          MvmStats scalar_stats;
+          EXPECT_EQ(xb.mvm(in, &scalar_stats), ref);
+          EXPECT_EQ(scalar_stats, ref_stats);
+
+          for (const auto isa : kAllIsas) {
+            perf::set_mvm_isa(isa);
+            const std::string where = std::string(perf::mvm_isa_name(perf::mvm_active_isa())) +
+                                      " wbits=" + std::to_string(q.wbits) +
+                                      " dac=" + std::to_string(q.dac_bits) +
+                                      " rows=" + std::to_string(rows) +
+                                      " cols=" + std::to_string(cols);
+            perf::MvmWorkspace ws;
+            const auto as_vec = [](std::span<const std::int64_t> v) {
+              return std::vector<std::int64_t>(v.begin(), v.end());
+            };
+            MvmStats ba_stats, exact_stats;
+            EXPECT_EQ(as_vec(xb.mvm_bit_accurate(in, ws, &ba_stats)), ref) << where;
+            EXPECT_EQ(ba_stats, ref_stats) << where;
+            EXPECT_EQ(as_vec(xb.mvm(in, ws, &exact_stats)), ref) << where;
+            EXPECT_EQ(exact_stats, ref_stats) << where;
+            for (const bool bit_accurate : {false, true}) {
+              MvmStats batch_stats;
+              EXPECT_EQ(as_vec(xb.mvm_batch(both, 2, bit_accurate, ws, &batch_stats)), ref_both)
+                  << where << " bit_accurate=" << bit_accurate;
+              EXPECT_EQ(batch_stats, ref_both_stats) << where;
+            }
+
+            const std::int64_t split = rows / 2;
+            const std::span<const std::int32_t> whole(in);
+            std::vector<std::int64_t> blocks(static_cast<std::size_t>(cols), 0);
+            MvmStats block_stats;
+            {
+              perf::BlockMvm mvm(xb, &block_stats);
+              auto sum = perf::summarize_input(whole.subspan(0, static_cast<std::size_t>(split)), q);
+              sum += perf::summarize_input(whole.subspan(static_cast<std::size_t>(split)), q);
+              mvm.add(split, whole.subspan(static_cast<std::size_t>(split)), blocks.data());
+              mvm.add(0, whole.subspan(0, static_cast<std::size_t>(split)), blocks.data());
+              mvm.end_call(sum);
+            }
+            EXPECT_EQ(blocks, ref) << where << " (row blocks)";
+            EXPECT_EQ(block_stats, ref_stats) << where << " (row blocks)";
+          }
+        }
+      }
+    }
+  }
+  // Faulted and perturbed siblings must reach levels the wbits range lacks.
+  EXPECT_GT(out_of_range, 0);
+}
+
+/// Ideal-ADC RED programmed runs add one C x M block GEMV per active
+/// sub-crossbar straight from the bound pixels. Against RedDesign::run
+/// (scalar-tier oracle) in output and full RunStats, for M below, at and
+/// across one vector, every fold/lookahead schedule, both MVM modes, lane
+/// budgets 1 and 3, and every dispatch tier.
+TEST(FastPathEquivalence, IdealRedBlockGemvRunsMatchDesignRun) {
+  const ScopedIsa restore;
+  struct Sched {
+    int fold, h, d;
+  };
+  Rng rng(2121);
+  for (const int m : {1, 3, 21}) {
+    for (const int c : {5, 21}) {
+      // 5x5 / stride 2: mode groups of 9, 6, 6 and 4 sub-crossbars.
+      const nn::DeconvLayerSpec spec{"block", 3, 2, c, m, 5, 5, 2, 1, 0};
+      auto input = workloads::make_input(spec, rng, -128, 127);
+      for (std::int64_t i = 0; i < input.size(); i += 3) input.data()[i] = 0;
+      const auto kernel = workloads::make_kernel(spec, rng, -128, 127);
+      for (const Sched sched : {Sched{1, 0, 0}, Sched{2, 0, 0}, Sched{4, 0, 0}, Sched{1, 1, 1},
+                                Sched{2, 1, 1}, Sched{4, 1, 1}}) {
+        for (const bool bit_accurate : {false, true}) {
+          arch::DesignConfig cfg;
+          cfg.bit_accurate = bit_accurate;
+          cfg.red_fold = sched.fold;
+          cfg.lookahead_h = sched.h;
+          cfg.lookaside_d = sched.d;
+          const auto design = core::make_design(core::DesignKind::kRed, cfg);
+          perf::set_mvm_isa(perf::MvmIsa::kScalar);
+          arch::RunStats ref_stats;
+          const auto ref = design->run(spec, input, kernel, &ref_stats);
+          for (const int lanes : {1, 3}) {
+            const auto programmed = design->program(spec, kernel);
+            for (const auto isa : kAllIsas) {
+              perf::set_mvm_isa(isa);
+              arch::RunStats got_stats;
+              const auto got = programmed->run(input, &got_stats, lanes);
+              const std::string where = std::string(perf::mvm_isa_name(isa)) +
+                                        " M=" + std::to_string(m) + " C=" + std::to_string(c) +
+                                        " fold=" + std::to_string(sched.fold) +
+                                        " la=" + std::to_string(sched.h) +
+                                        " bit_accurate=" + std::to_string(bit_accurate) +
+                                        " lanes=" + std::to_string(lanes);
+              EXPECT_EQ(got, ref) << where;
+              EXPECT_EQ(got_stats, ref_stats) << where;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Packed weight planes are built, and FastDeltaTag-patched, only for
+/// clipped ADCs, where the popcount kernel still reads them: a clipped
+/// crossbar and its perturbed sibling (noise plus stuck-at-0/max) must
+/// still match the reference in outputs and MvmStats on every tier. The
+/// reference reads the cell levels, so a stale plane shows as a mismatch.
+TEST(FastPathEquivalence, ClippedAdcCrossbarsStillBuildAndPatchPackedPlanes) {
+  const ScopedIsa restore;
+  QuantConfig q;
+  q.adc.mode = AdcMode::kClipped;
+  q.adc.bits = 5;
+  Rng rng(3131);
+  int clipped = 0;
+  for (const std::int64_t rows : {std::int64_t{63}, std::int64_t{130}}) {
+    const LogicalXbar clean(rows, 21, random_weights(rng, rows * 21, q), q);
+    xbar::VariationModel var;
+    var.level_sigma = 0.4;
+    var.sa0_rate = 0.05;
+    var.sa1_rate = 0.1;
+    var.seed = 99;
+    const LogicalXbar sibling(clean, var, xbar::FastDeltaTag{});
+    ASSERT_GT(sibling.variation_stats().perturbed_cells, 0);
+    for (const LogicalXbar* xb : {&clean, &sibling}) {
+      for (int trial = 0; trial < 3; ++trial) {
+        const auto in = random_input(rng, rows, q, /*include_zeros=*/true);
+        MvmStats ref_stats;
+        const auto ref = xb->mvm_bit_accurate_reference(in, &ref_stats);
+        clipped += ref_stats.adc_clips > 0;
+        for (const auto isa : kAllIsas) {
+          perf::set_mvm_isa(isa);
+          perf::MvmWorkspace ws;
+          MvmStats got_stats;
+          const auto got = xb->mvm_bit_accurate(in, ws, &got_stats);
+          EXPECT_EQ(std::vector<std::int64_t>(got.begin(), got.end()), ref)
+              << perf::mvm_isa_name(isa) << " rows=" << rows
+              << (xb == &sibling ? " sibling" : " clean");
+          EXPECT_EQ(got_stats, ref_stats) << perf::mvm_isa_name(isa);
+        }
+      }
+    }
+  }
+  EXPECT_GT(clipped, 0);
 }
 
 /// Range checking moved from every MVM call into RedProgram::bind: an

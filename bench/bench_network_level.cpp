@@ -174,7 +174,7 @@ int main(int argc, char** argv) try {
     for (const auto& net : nets)
       for (auto kind : kinds) {
         const auto design = core::make_design(kind);
-        const auto plan = arch::plan_chip(*design, net.stack, chip);
+        const auto plan = arch::plan_chip(plan::plan_stack(kind, net.stack, {}), chip);
         t.add_row({net.name, design->name(), std::to_string(plan.required_subarrays),
                    plan.fits ? "yes" : "NO", format_percent(plan.occupancy(), 1),
                    format_percent(plan.cell_utilization(), 1),

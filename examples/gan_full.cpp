@@ -86,7 +86,8 @@ int main() {
   arch::ChipConfig chip;
   chip.banks = 16;
   chip.subarrays_per_bank = 512;
-  const auto plan = arch::plan_chip(*red_full, gen_full, chip);
+  const auto plan =
+      arch::plan_chip(plan::plan_stack(red_full->kind(), gen_full, red_full->config()), chip);
   std::cout << "generator chip plan: " << plan.required_subarrays << "/"
             << plan.available_subarrays << " subarrays ("
             << format_percent(plan.occupancy(), 1) << " occupancy, "

@@ -109,10 +109,4 @@ ChipPlan plan_chip(const plan::StackPlan& stack, const ChipConfig& chip) {
   return plan;
 }
 
-ChipPlan plan_chip(const Design& design, const std::vector<nn::DeconvLayerSpec>& stack,
-                   const ChipConfig& chip) {
-  RED_EXPECTS(!stack.empty());
-  return plan_chip(plan::plan_stack(design.kind(), stack, design.config()), chip);
-}
-
 }  // namespace red::arch

@@ -82,11 +82,4 @@ struct ChipPlan {
 /// Accepts an empty stack (trivially fits).
 [[nodiscard]] ChipPlan plan_chip(const plan::StackPlan& stack, const ChipConfig& chip);
 
-/// Convenience wrapper: compile the stack under the design's kind/config and
-/// place it. Kept for callers that don't hold a plan; requires a non-empty
-/// stack (historical contract).
-[[nodiscard]] ChipPlan plan_chip(const Design& design,
-                                 const std::vector<nn::DeconvLayerSpec>& stack,
-                                 const ChipConfig& chip);
-
 }  // namespace red::arch

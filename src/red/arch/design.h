@@ -11,6 +11,13 @@
 // LayerPlan; the spec-taking entry points here are convenience wrappers that
 // compile a plan on the fly, and the plan-taking overloads consume an
 // already-compiled plan without re-deriving anything.
+//
+// Execution has one protocol: program(plan, kernel), the only execution
+// entry point a design implements, programs the layer's crossbars into a
+// ProgrammedLayer, and ProgrammedLayer::run executes it. run(spec, ...) is
+// exactly program(spec, kernel)->run(input, stats, cfg.threads); streaming,
+// Monte Carlo and fault campaigns hold the ProgrammedLayer and run it
+// repeatedly.
 #pragma once
 
 #include <cstdint>
@@ -59,13 +66,14 @@ struct DesignConfig {
   /// typically ~0.5). Scales the data-dependent energy terms analytically;
   /// the structural latency (cycles) is unaffected.
   double activation_sparsity = 0.0;
-  /// Worker lanes for the unprogrammed Design::run paths only — zero-padding
-  /// row tiles, conv-engine tiles, and RED mode groups (1 = serial; the
-  /// padding-free scatter is inherently serial and ignores this). Programmed
-  /// layers ignore it: their lane budget is the `threads` argument of
-  /// ProgrammedLayer::run / run_batch. Tiles/groups run on the process-wide
-  /// perf::ThreadPool and per-lane stats are merged deterministically after
-  /// the join, so any thread count produces bit-identical outputs and RunStats.
+  /// Lane budget of the one-shot entry points: Design::run passes it to
+  /// ProgrammedLayer::run (zero-padding output rows, RED mode groups and the
+  /// input bind; the padding-free scatter is inherently serial), and the conv
+  /// engine tiles by it (1 = serial). Layers held as ProgrammedLayers take
+  /// their budget from the `threads` argument of run / run_batch instead.
+  /// Chunks run on the process-wide perf::ThreadPool and per-lane stats are
+  /// merged deterministically after the join, so any thread count produces
+  /// bit-identical outputs and RunStats.
   int threads = 1;
   xbar::TilingConfig tiling;       ///< subarray geometry for tiled mode
   /// Assumed fault environment + mitigation provision (red/fault). The model
@@ -130,8 +138,8 @@ struct RunStats {
   friend bool operator==(const RunStats&, const RunStats&) = default;
 };
 
-/// A layer whose crossbars are already programmed. Splits Design::run into a
-/// pay-once phase (weight extraction, scheduling, cell-level encoding) and a
+/// A layer whose crossbars are already programmed: the pay-once phase
+/// (weight extraction, scheduling, cell-level encoding) done, run() the
 /// repeatable execution phase, so statistical sweeps stop rebuilding and
 /// reprogramming the design per trial. perturbed() reprograms only the
 /// device-variation deltas on the clean cell levels using the accelerated
@@ -148,12 +156,12 @@ class ProgrammedLayer {
   ProgrammedLayer(const ProgrammedLayer&) = delete;
   ProgrammedLayer& operator=(const ProgrammedLayer&) = delete;
 
-  /// Execute on the programmed crossbars. Outputs and RunStats are
-  /// bit-identical to Design::run(spec, input, kernel, stats). `threads` is
-  /// the lane budget (>= 1): the input bind and the group (RED) or output-row
-  /// (zero-padding) walk are split into up to `threads` contiguous chunks on
-  /// the process-wide perf::ThreadPool, and per-chunk stats are merged in
-  /// chunk order, so every budget gives bit-identical results.
+  /// Execute on the programmed crossbars. `threads` is the lane budget
+  /// (>= 1): the input bind and the group (RED) or output-row (zero-padding)
+  /// walk are split into up to `threads` contiguous chunks on the
+  /// process-wide perf::ThreadPool, and per-chunk stats are merged in chunk
+  /// order, so every budget gives bit-identical results (the padding-free
+  /// scatter runs serially on any budget).
   [[nodiscard]] virtual Tensor<std::int32_t> run(const Tensor<std::int32_t>& input,
                                                  RunStats* stats = nullptr,
                                                  int threads = 1) const = 0;
@@ -161,15 +169,14 @@ class ProgrammedLayer {
   /// Batch entry point: stream `inputs` through the programmed crossbars
   /// back to back. outputs[k] — and, when `stats` is non-null, (*stats)[k]
   /// (resized to inputs.size()) — are bit-identical to run(inputs[k]) called
-  /// in sequence; the crossbars are programmed exactly once either way. The
-  /// default walks run(inputs[k], ..., threads) per image; overrides may
-  /// amortize further.
-  [[nodiscard]] virtual std::vector<Tensor<std::int32_t>> run_batch(
+  /// in sequence; the crossbars are programmed exactly once either way.
+  [[nodiscard]] std::vector<Tensor<std::int32_t>> run_batch(
       std::span<const Tensor<std::int32_t>> inputs, std::vector<RunStats>* stats = nullptr,
       int threads = 1) const;
 
   /// Sibling layer with `var` applied to the clean programmed levels. Only
-  /// valid on a variation-free instance (the one Design::program returns).
+  /// valid on a variation-free instance (what Design::program returns for a
+  /// config whose own variation model is disabled).
   [[nodiscard]] virtual std::unique_ptr<ProgrammedLayer> perturbed(
       const xbar::VariationModel& var) const = 0;
 
@@ -179,11 +186,11 @@ class ProgrammedLayer {
   /// remapping). `salt` namespaces the fault mask per layer/stage so stacked
   /// layers sharing one model draw independent faults; `report` (optional)
   /// receives the summed RepairReport. Deterministic in (model.seed, salt)
-  /// and thread-invariant. The default returns nullptr — designs without a
-  /// programmed fast path cannot host fault campaigns.
+  /// and thread-invariant. Like perturbed(), only valid on a variation-free
+  /// instance.
   [[nodiscard]] virtual std::unique_ptr<ProgrammedLayer> faulted(
       const fault::FaultModel& model, const fault::RepairPolicy& policy, std::uint64_t salt = 0,
-      fault::RepairReport* report = nullptr) const;
+      fault::RepairReport* report = nullptr) const = 0;
 
   /// What the variation model did to this instance's crossbars (summed).
   [[nodiscard]] virtual xbar::VariationStats variation_stats() const = 0;
@@ -214,11 +221,12 @@ class Design {
   /// for this design's kind and config (checked via the structural key).
   [[nodiscard]] LayerActivity activity(const plan::LayerPlan& plan) const;
 
-  /// Execute the layer functionally through the crossbar pipeline.
-  [[nodiscard]] virtual Tensor<std::int32_t> run(const nn::DeconvLayerSpec& spec,
-                                                 const Tensor<std::int32_t>& input,
-                                                 const Tensor<std::int32_t>& kernel,
-                                                 RunStats* stats = nullptr) const = 0;
+  /// Execute the layer functionally through the crossbar pipeline: one-shot
+  /// program(spec, kernel)->run(input, stats, config().threads).
+  [[nodiscard]] Tensor<std::int32_t> run(const nn::DeconvLayerSpec& spec,
+                                         const Tensor<std::int32_t>& input,
+                                         const Tensor<std::int32_t>& kernel,
+                                         RunStats* stats = nullptr) const;
 
   /// Calibrated cost of this layer (analytic; does not touch tensor data).
   /// Convenience wrapper over cost(plan::LayerPlan).
@@ -228,17 +236,19 @@ class Design {
   [[nodiscard]] CostReport cost(const plan::LayerPlan& plan) const;
 
   /// Program the layer's crossbars once for repeated execution / Monte Carlo
-  /// re-perturbation. Returns nullptr when the design has no programmed fast
-  /// path (callers fall back to per-trial run()). The config's own variation
-  /// model must be disabled — trials inject variation via perturbed().
-  [[nodiscard]] virtual std::unique_ptr<ProgrammedLayer> program(
-      const nn::DeconvLayerSpec& spec, const Tensor<std::int32_t>& kernel) const;
+  /// re-perturbation. Convenience wrapper: compiles a plan::LayerPlan and
+  /// programs from it.
+  [[nodiscard]] std::unique_ptr<ProgrammedLayer> program(const nn::DeconvLayerSpec& spec,
+                                                         const Tensor<std::int32_t>& kernel) const;
 
-  /// Program from an already-compiled plan. The default delegates to
-  /// program(plan.spec, kernel); designs with plan-derived decisions (RED's
-  /// fold and mode groups) override to consume them directly.
+  /// Program from an already-compiled plan (checked like activity(plan)),
+  /// consuming its mapping decisions (RED's fold and mode groups). Cells are
+  /// programmed with the config's quant, device variation included, exactly
+  /// as run() executes them; a Monte Carlo base or fault-injection substrate
+  /// needs a variation-free config, since perturbed() and faulted() start
+  /// from clean levels.
   [[nodiscard]] virtual std::unique_ptr<ProgrammedLayer> program(
-      const plan::LayerPlan& plan, const Tensor<std::int32_t>& kernel) const;
+      const plan::LayerPlan& plan, const Tensor<std::int32_t>& kernel) const = 0;
 
   [[nodiscard]] const DesignConfig& config() const { return cfg_; }
 
@@ -246,17 +256,6 @@ class Design {
   /// Throw ContractViolation unless `plan` was compiled for this design's
   /// kind and config on its own spec (structural-key comparison).
   void check_plan(const plan::LayerPlan& plan) const;
-
-  /// MVM helper honoring cfg_.bit_accurate.
-  [[nodiscard]] std::vector<std::int64_t> execute_mvm(const xbar::LogicalXbar& xbar,
-                                                      std::span<const std::int32_t> input,
-                                                      xbar::MvmStats* stats) const;
-
-  /// Allocation-free MVM helper into a reusable workspace (hot loops).
-  [[nodiscard]] std::span<const std::int64_t> execute_mvm(const xbar::LogicalXbar& xbar,
-                                                          std::span<const std::int32_t> input,
-                                                          perf::MvmWorkspace& ws,
-                                                          xbar::MvmStats* stats) const;
 
   DesignConfig cfg_;
 };

@@ -18,10 +18,13 @@ class PaddingFreeDesign final : public Design {
 
   [[nodiscard]] std::string name() const override { return "padding-free"; }
   [[nodiscard]] DesignKind kind() const override { return DesignKind::kPaddingFree; }
-  [[nodiscard]] Tensor<std::int32_t> run(const nn::DeconvLayerSpec& spec,
-                                         const Tensor<std::int32_t>& input,
-                                         const Tensor<std::int32_t>& kernel,
-                                         RunStats* stats = nullptr) const override;
+
+  /// The scatter-form macro built once; each run streams the input pixels
+  /// through it and overlap-adds on a canvas, Monte Carlo trials reprogram
+  /// only the variation deltas.
+  using Design::program;  // keep the spec-taking wrapper visible
+  [[nodiscard]] std::unique_ptr<ProgrammedLayer> program(
+      const plan::LayerPlan& plan, const Tensor<std::int32_t>& kernel) const override;
 };
 
 }  // namespace red::arch

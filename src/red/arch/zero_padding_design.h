@@ -18,17 +18,13 @@ class ZeroPaddingDesign final : public Design {
 
   [[nodiscard]] std::string name() const override { return "zero-padding"; }
   [[nodiscard]] DesignKind kind() const override { return DesignKind::kZeroPadding; }
-  [[nodiscard]] Tensor<std::int32_t> run(const nn::DeconvLayerSpec& spec,
-                                         const Tensor<std::int32_t>& input,
-                                         const Tensor<std::int32_t>& kernel,
-                                         RunStats* stats = nullptr) const override;
 
-  /// Programmed fast path: the rotated-kernel macro built once; repeated runs
-  /// reuse it (and a cached padded-window binding), Monte Carlo trials
-  /// reprogram only the variation deltas. Bit-identical to run().
-  using Design::program;  // keep the plan-consuming overload visible
+  /// The rotated-kernel macro built once; each run gathers the padded
+  /// windows an output row at a time, Monte Carlo trials reprogram only the
+  /// variation deltas.
+  using Design::program;  // keep the spec-taking wrapper visible
   [[nodiscard]] std::unique_ptr<ProgrammedLayer> program(
-      const nn::DeconvLayerSpec& spec, const Tensor<std::int32_t>& kernel) const override;
+      const plan::LayerPlan& plan, const Tensor<std::int32_t>& kernel) const override;
 };
 
 }  // namespace red::arch

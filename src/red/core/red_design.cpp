@@ -40,7 +40,7 @@ std::vector<xbar::LogicalXbar> build_group_xbars(const nn::DeconvLayerSpec& spec
   return xbars;
 }
 
-// Trial-invariant half of the programmed fast path: config, schedule, and a
+// Trial-invariant half of a programmed RED layer: config, schedule, and a
 // cached binding of one input tensor to its checked pixels. Shared (const)
 // across every perturbed or faulted sibling, so Monte Carlo trials and fault
 // campaigns pay the schedule walk and the input check exactly once.
@@ -68,15 +68,7 @@ struct RedProgram {
   mutable std::mutex mu;
   mutable std::shared_ptr<const BoundInput> bound;
 
-  RedProgram(arch::DesignConfig c, const nn::DeconvLayerSpec& s, int fold)
-      : cfg(std::move(c)),
-        spec(s),
-        schedule(s, fold, cfg.lookahead_h, cfg.lookaside_d),
-        clipped(cfg.bit_accurate && cfg.quant.adc.mode != xbar::AdcMode::kIdeal),
-        planes_pad(perf::packed_planes_pad(cfg.quant)),
-        pixel_words((s.c + 63) / 64) {}
-
-  /// Plan-consuming form: the schedule reuses the plan's mode-group table.
+  /// The schedule reuses the compiled plan's mode-group table.
   RedProgram(arch::DesignConfig c, const nn::DeconvLayerSpec& s, int fold,
              std::vector<ModeGroup> groups)
       : cfg(std::move(c)),
@@ -144,16 +136,19 @@ class RedProgrammedLayer final : public arch::ProgrammedLayer {
     const int phases = schedule.phases();
 
     Tensor<std::int32_t> out(spec.output_shape());
-    // Same chunked group walk as RedDesign::run, fed from the bound pixels:
-    // a sub-crossbar's pixel drives rows sc_index * C of its group crossbar.
+    // Mode groups are independent executors: each owns its crossbar, its
+    // fold accumulator, and a disjoint set of output pixels (one (a, b)
+    // output residue class per group). Chunk them across the pool, fed from
+    // the bound pixels: a sub-crossbar's pixel drives rows sc_index * C of
+    // its group crossbar. Per-chunk stats are merged in chunk order after
+    // the join, so any budget reproduces the serial walk bit-exactly.
     const std::int64_t chunks = perf::chunk_count(threads, num_groups);
     std::vector<arch::RunStats> chunk_stats(static_cast<std::size_t>(chunks));
     perf::parallel_chunks(chunks, num_groups, [&](std::int64_t t, std::int64_t g0,
                                                   std::int64_t g1) {
       arch::RunStats& local = chunk_stats[static_cast<std::size_t>(t)];
       // Thread-local scratch: Monte Carlo trials call run() thousands of
-      // times, so the per-call construction cost matters here (unlike the
-      // one-shot RedDesign::run).
+      // times, so the per-call construction cost matters here.
       thread_local GroupScratch scratch;
       std::vector<std::int64_t> group_acc(static_cast<std::size_t>(spec.m));
       const auto emit = [&](bool produces_output, int out_y, int out_x) {
@@ -300,90 +295,10 @@ int RedDesign::fold_for(const nn::DeconvLayerSpec& spec) const {
   return plan::resolve_fold(arch::DesignKind::kRed, spec, cfg_);
 }
 
-Tensor<std::int32_t> RedDesign::run(const nn::DeconvLayerSpec& spec,
-                                    const Tensor<std::int32_t>& input,
-                                    const Tensor<std::int32_t>& kernel,
-                                    arch::RunStats* stats) const {
-  spec.validate();
-  RED_EXPECTS(input.shape() == spec.input_shape());
-  RED_EXPECTS(kernel.shape() == spec.kernel_shape());
-
-  const ZeroSkipSchedule schedule(spec, fold_for(spec), cfg_.lookahead_h, cfg_.lookaside_d);
-  const auto& groups = schedule.groups();
-  const std::vector<xbar::LogicalXbar> group_xbars =
-      build_group_xbars(spec, groups, kernel, cfg_.quant);
-
-  Tensor<std::int32_t> out(spec.output_shape());
-  const std::int64_t num_cycles = schedule.num_cycles();
-  const int num_groups = static_cast<int>(groups.size());
-  const std::int64_t out_plane = std::int64_t{spec.oh()} * spec.ow();
-  const int phases = schedule.phases();
-
-  // Mode groups are independent executors: each owns its crossbar, its fold
-  // accumulator, and a disjoint set of output pixels (one (a, b) output
-  // residue class per group). Chunk them across the pool; per-chunk stats are
-  // merged in chunk order after the join, so any thread count reproduces the
-  // serial cycle-major walk bit-exactly.
-  const std::int64_t chunks = perf::chunk_count(cfg_.threads, num_groups);
-  std::vector<arch::RunStats> chunk_stats(static_cast<std::size_t>(chunks));
-  perf::parallel_chunks(chunks, num_groups, [&](std::int64_t t, std::int64_t g0,
-                                                std::int64_t g1) {
-    arch::RunStats& local = chunk_stats[static_cast<std::size_t>(t)];
-    perf::MvmWorkspace ws;
-    std::vector<std::int32_t> group_input;
-    // Per-group accumulator carrying partial sums across fold phases (Eq. 2);
-    // phases of one block are adjacent in the schedule.
-    std::vector<std::int64_t> group_acc(static_cast<std::size_t>(spec.m));
-    GroupWork work;  // rebuilt in place each cycle, reusing inputs capacity
-    for (int gi = static_cast<int>(g0); gi < g1; ++gi) {
-      for (std::int64_t ci = 0; ci < num_cycles; ++ci) {
-        schedule.group_work(ci, gi, work);
-        if (ci % phases == 0) std::fill(group_acc.begin(), group_acc.end(), 0);
-
-        group_input.assign(work.inputs.size() * static_cast<std::size_t>(spec.c), 0);
-        for (const auto& in : work.inputs) {
-          if (!in.active) continue;  // zero-skip: padded zeros are never streamed
-          for (int c = 0; c < spec.c; ++c)
-            group_input[static_cast<std::size_t>(in.sc_index) * spec.c +
-                        static_cast<std::size_t>(c)] =
-                input.ptr(0, c)[std::int64_t{in.h} * spec.iw + in.w];
-        }
-        const auto partial =
-            execute_mvm(group_xbars[static_cast<std::size_t>(gi)], group_input, ws, &local.mvm);
-        for (int m = 0; m < spec.m; ++m)
-          group_acc[static_cast<std::size_t>(m)] += partial[static_cast<std::size_t>(m)];
-
-        if (work.produces_output)
-          for (int m = 0; m < spec.m; ++m)
-            out.data()[m * out_plane + std::int64_t{work.out_y} * spec.ow() + work.out_x] =
-                static_cast<std::int32_t>(group_acc[static_cast<std::size_t>(m)]);
-      }
-    }
-  });
-  arch::RunStats local;
-  for (const auto& cs : chunk_stats) local += cs;
-  local.cycles = num_cycles;  // cycles are a schedule property, counted once
-  if (stats != nullptr) *stats = local;
-  return out;
-}
-
-std::unique_ptr<arch::ProgrammedLayer> RedDesign::program(
-    const nn::DeconvLayerSpec& spec, const Tensor<std::int32_t>& kernel) const {
-  spec.validate();
-  RED_EXPECTS(kernel.shape() == spec.kernel_shape());
-  RED_EXPECTS_MSG(!cfg_.quant.variation.enabled(),
-                  "program() takes a clean config; inject variation via perturbed()");
-  auto prog = std::make_shared<RedProgram>(cfg_, spec, fold_for(spec));
-  auto xbars = build_group_xbars(spec, prog->schedule.groups(), kernel, cfg_.quant);
-  return std::make_unique<RedProgrammedLayer>(std::move(prog), std::move(xbars));
-}
-
 std::unique_ptr<arch::ProgrammedLayer> RedDesign::program(
     const plan::LayerPlan& plan, const Tensor<std::int32_t>& kernel) const {
   check_plan(plan);
   RED_EXPECTS(kernel.shape() == plan.spec.kernel_shape());
-  RED_EXPECTS_MSG(!cfg_.quant.variation.enabled(),
-                  "program() takes a clean config; inject variation via perturbed()");
   // Consume the compiled mapping: fold and mode groups come from the plan.
   auto prog = std::make_shared<RedProgram>(cfg_, plan.spec, plan.fold, plan.groups);
   auto xbars = build_group_xbars(plan.spec, prog->schedule.groups(), kernel, cfg_.quant);

@@ -24,19 +24,11 @@ class RedDesign final : public arch::Design {
 
   [[nodiscard]] std::string name() const override { return "RED"; }
   [[nodiscard]] arch::DesignKind kind() const override { return arch::DesignKind::kRed; }
-  [[nodiscard]] Tensor<std::int32_t> run(const nn::DeconvLayerSpec& spec,
-                                         const Tensor<std::int32_t>& input,
-                                         const Tensor<std::int32_t>& kernel,
-                                         arch::RunStats* stats = nullptr) const override;
 
-  /// Programmed fast path: schedule + group crossbars built once; repeated
-  /// runs reuse them (and a cached per-cycle input binding), Monte Carlo
-  /// trials reprogram only the variation deltas. Bit-identical to run().
-  [[nodiscard]] std::unique_ptr<arch::ProgrammedLayer> program(
-      const nn::DeconvLayerSpec& spec, const Tensor<std::int32_t>& kernel) const override;
-
-  /// Plan-consuming programming: reuses the plan's resolved fold and
-  /// mode-group table instead of re-deriving them.
+  /// Schedule + group crossbars built once from the plan's fold and
+  /// mode-group table; repeated runs reuse them (and a cached binding of the
+  /// input pixels), Monte Carlo trials reprogram only the variation deltas.
+  using Design::program;  // keep the spec-taking wrapper visible
   [[nodiscard]] std::unique_ptr<arch::ProgrammedLayer> program(
       const plan::LayerPlan& plan, const Tensor<std::int32_t>& kernel) const override;
 

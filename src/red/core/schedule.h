@@ -3,7 +3,7 @@
 // The schedule materializes, cycle by cycle, which input pixel each
 // sub-crossbar receives and which output pixel each mode group produces —
 // the data the paper illustrates as "Cycle 1: I(0,0) goes to SC1, ...".
-// RedDesign::run executes this schedule; tests introspect it to prove the
+// RED's programmed layers execute this schedule; tests introspect it to prove the
 // data-flow properties the paper claims:
 //   * every output pixel is produced exactly once,
 //   * only non-zero (real) input pixels are ever fed (zero-skipping),
@@ -99,12 +99,12 @@ class ZeroSkipSchedule {
 
   /// Generate only group `gi`'s work in cycle `index` — identical to
   /// cycle(index).groups[gi] but without materializing the other groups.
-  /// Group-parallel executors (RedDesign::run) walk the schedule per group
-  /// through this instead of regenerating whole cycles per lane.
+  /// Group-parallel executors (RED's programmed layers) walk the schedule
+  /// per group through this instead of regenerating whole cycles per lane.
   [[nodiscard]] GroupWork group_work(std::int64_t index, int gi) const;
 
   /// Allocation-free variant: rebuilds `out` in place, reusing its `inputs`
-  /// capacity (the hot-loop form RedDesign::run uses).
+  /// capacity (the hot-loop form the group walks use).
   void group_work(std::int64_t index, int gi, GroupWork& out) const;
 
  private:

@@ -157,11 +157,6 @@ SweepOutcome decode_outcome(const std::string& payload) {
   return out;
 }
 
-std::string sweep_key(core::DesignKind kind, const arch::DesignConfig& cfg,
-                      const nn::DeconvLayerSpec& spec) {
-  return plan::structural_key(kind, cfg, spec);
-}
-
 SweepDriver::SweepDriver(int threads, std::int64_t max_cache_entries)
     : threads_(threads), max_cache_entries_(max_cache_entries) {
   RED_EXPECTS(threads >= 1);

@@ -80,7 +80,6 @@ struct FaultCampaignOptions {
 /// Sweep `models` x trials over one layer. The clean layer is programmed
 /// once (variation and fault config cleared) and doubles as the oracle; each
 /// trial injects into the programmed levels via ProgrammedLayer::faulted.
-/// Throws ConfigError when the design has no programmed fast path.
 [[nodiscard]] std::vector<FaultCampaignPoint> run_fault_campaign(
     core::DesignKind kind, const arch::DesignConfig& base_cfg,
     const std::vector<FaultModel>& models, const RepairPolicy& policy,

@@ -59,7 +59,8 @@ SimulationResult simulate(const arch::Design& design, const plan::LayerPlan& lp,
                           const Tensor<std::int32_t>& input, const Tensor<std::int32_t>& kernel,
                           bool check) {
   SimulationResult result{Tensor<std::int32_t>{}, {}, design.activity(lp), design.cost(lp)};
-  result.output = design.run(lp.spec, input, kernel, &result.measured);
+  result.output =
+      design.program(lp, kernel)->run(input, &result.measured, design.config().threads);
   if (check) {
     const bool exact_drives = count_zeros(input) == 0;
     const auto issues = consistency_issues(result.predicted, result.measured, exact_drives);

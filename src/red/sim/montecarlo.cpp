@@ -49,10 +49,7 @@ std::vector<MonteCarloResult> run_monte_carlo_grid(
   const auto programmed = design->program(spec, kernel);
 
   std::vector<MonteCarloResult> results(vars.size());
-  for (auto& r : results) {
-    r.programmed_fast_path = programmed != nullptr;
-    r.trials.resize(static_cast<std::size_t>(opts.trials));
-  }
+  for (auto& r : results) r.trials.resize(static_cast<std::size_t>(opts.trials));
 
   // One flat (grid entry, trial) index space keeps the pool busy even when a
   // single entry has fewer trials than lanes; per-trial slots keep any
@@ -67,17 +64,9 @@ std::vector<MonteCarloResult> run_monte_carlo_grid(
       trial_var.seed = opts.base_seed + static_cast<std::uint64_t>(t);
       MonteCarloTrial& trial = results[g].trials[static_cast<std::size_t>(t)];
       trial.seed = trial_var.seed;
-      Tensor<std::int32_t> out;
-      if (programmed != nullptr) {
-        const auto perturbed = programmed->perturbed(trial_var);
-        out = perturbed->run(input, &trial.stats);
-        trial.variation = perturbed->variation_stats();
-      } else {
-        arch::DesignConfig trial_cfg = clean_cfg;
-        trial_cfg.quant.variation = trial_var;
-        out = core::make_design(kind, trial_cfg)->run(spec, input, kernel, &trial.stats);
-      }
-      trial.nrmse = normalized_rmse(reference, out);
+      const auto perturbed = programmed->perturbed(trial_var);
+      trial.nrmse = normalized_rmse(reference, perturbed->run(input, &trial.stats));
+      trial.variation = perturbed->variation_stats();
     }
   });
   return results;

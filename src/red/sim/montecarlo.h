@@ -10,14 +10,13 @@
 // the same variation law as from-scratch programming, but drawn from a
 // different (cheaper) RNG stream — trial outputs are deterministic in the
 // seed and thread-count invariant (tests/analog_fast_path_test.cpp asserts
-// both), not bit-identical to the legacy per-seed rebuild.
+// both), not bit-identical to from-scratch programming with each seed.
 //
 // Trials fan out across the process-wide perf::ThreadPool with a
 // deterministic seed -> trial mapping (trial t always uses base_seed + t)
 // and land in per-trial result slots, so any thread count produces
 // bit-identical trial vectors and the post-join aggregates are merged in
-// trial order. Designs without a programmed fast path (padding-free) fall
-// back to per-trial construction, keeping the same results and determinism.
+// trial order. All three designs run this way.
 #pragma once
 
 #include <cstdint>
@@ -34,14 +33,12 @@ namespace red::sim {
 struct MonteCarloTrial {
   std::uint64_t seed = 0;  ///< variation seed this trial programmed with
   double nrmse = 0.0;      ///< normalized RMSE of the trial output vs reference
-  xbar::VariationStats variation;  ///< per-trial cell counters (zeros on the
-                                   ///< per-trial-construction fallback path)
+  xbar::VariationStats variation;  ///< per-trial cell counters
   arch::RunStats stats;
 };
 
 struct MonteCarloResult {
   std::vector<MonteCarloTrial> trials;  ///< trial t used seed base_seed + t
-  bool programmed_fast_path = false;    ///< false = per-trial construction fallback
 
   /// Trial-averaged normalized RMSE.
   [[nodiscard]] double mean_nrmse() const;

@@ -69,31 +69,25 @@ StreamingExecutor::StreamingExecutor(core::DesignKind kind, const arch::DesignCo
 
 StreamingExecutor::StreamingExecutor(plan::StackPlan stack_plan,
                                      std::vector<Tensor<std::int32_t>> kernels)
-    : plan_(std::move(stack_plan)), kernels_(std::move(kernels)) {
+    : plan_(std::move(stack_plan)) {
   stack_.reserve(plan_.layers.size());
   for (const auto& lp : plan_.layers) stack_.push_back(lp.spec);
   RED_EXPECTS_MSG(!stack_.empty(), "streaming stack must have at least one stage");
-  RED_EXPECTS_MSG(stack_.size() == kernels_.size(), "one kernel per stage");
+  RED_EXPECTS_MSG(stack_.size() == kernels.size(), "one kernel per stage");
   workloads::validate_stack(stack_);
   for (std::size_t i = 0; i < stack_.size(); ++i)
-    RED_EXPECTS_MSG(kernels_[i].shape() == stack_[i].kernel_shape(),
+    RED_EXPECTS_MSG(kernels[i].shape() == stack_[i].kernel_shape(),
                     "kernel shape must match its stage's layer spec");
 
-  design_ = core::make_design(plan_.kind, plan_.cfg);
-  design_name_ = design_->name();
+  const auto design = core::make_design(plan_.kind, plan_.cfg);
+  design_name_ = design->name();
   // Span names must outlive every trace, and recording must not allocate.
   for (const auto& spec : stack_) span_names_.push_back(telemetry::intern(spec.name));
 
-  // Pay-once programming, consuming each stage's compiled plan. A
-  // variation-enabled config must program per run (Design::program requires
-  // a clean config), so it keeps the fallback.
-  programmed_.resize(stack_.size());
-  if (!plan_.cfg.quant.variation.enabled())
-    for (std::size_t i = 0; i < stack_.size(); ++i)
-      programmed_[i] = design_->program(plan_.layers[i], kernels_[i]);
-  programmed_fast_path_ =
-      std::all_of(programmed_.begin(), programmed_.end(),
-                  [](const auto& p) { return p != nullptr; });
+  // Pay-once programming, consuming each stage's compiled plan.
+  programmed_.reserve(stack_.size());
+  for (std::size_t i = 0; i < stack_.size(); ++i)
+    programmed_.push_back(design->program(plan_.layers[i], kernels[i]));
 }
 
 StreamingExecutor::~StreamingExecutor() = default;
@@ -101,17 +95,14 @@ StreamingExecutor::~StreamingExecutor() = default;
 std::unique_ptr<StreamingExecutor> StreamingExecutor::faulted(
     const fault::FaultModel& model, const fault::RepairPolicy& policy,
     std::vector<fault::RepairReport>* reports) const {
-  if (!programmed_fast_path_)
-    throw ConfigError("faulted() needs the programmed fast path on every stage: design '" +
-                      design_name_ + "' has a reprogram-per-image fallback stage");
+  if (plan_.cfg.quant.variation.enabled())
+    throw ConfigError("faulted() injects into clean levels: design '" + design_name_ +
+                      "' is programmed with device variation");
   // Private default ctor: clone the compiled plan and stack, then swap every
-  // programmed stage for its faulted sibling. design_ is rebuilt (Designs are
-  // non-copyable) but never reprograms — execution goes through programmed_.
+  // programmed stage for its faulted sibling.
   std::unique_ptr<StreamingExecutor> out(new StreamingExecutor());
   out->plan_ = plan_;
   out->stack_ = stack_;
-  out->kernels_ = kernels_;
-  out->design_ = core::make_design(plan_.kind, plan_.cfg);
   out->design_name_ = design_name_;
   out->span_names_ = span_names_;
   out->programmed_.resize(programmed_.size());
@@ -119,11 +110,8 @@ std::unique_ptr<StreamingExecutor> StreamingExecutor::faulted(
   for (std::size_t i = 0; i < programmed_.size(); ++i) {
     fault::RepairReport rep;
     out->programmed_[i] = programmed_[i]->faulted(model, policy, /*salt=*/i, &rep);
-    RED_EXPECTS_MSG(out->programmed_[i] != nullptr,
-                    "programmed stage must support fault injection");
     if (reports != nullptr) (*reports)[i] = rep;
   }
-  out->programmed_fast_path_ = true;
   return out;
 }
 
@@ -151,10 +139,7 @@ Tensor<std::int32_t> StreamingExecutor::run_stage(std::size_t stage,
   telemetry::ScopedSpan span(span_names_[stage], "sim");
   auto* m = telemetry::metrics();
   const Clock::time_point t0 = m != nullptr ? Clock::now() : Clock::time_point{};
-  Tensor<std::int32_t> out =
-      programmed_[stage] != nullptr
-          ? programmed_[stage]->run(input, &stats, opts.threads)
-          : design_->run(stack_[stage], input, kernels_[stage], &stats);
+  Tensor<std::int32_t> out = programmed_[stage]->run(input, &stats, opts.threads);
   if (opts.check) check_stage(stage, input, stats, image);
   if (m != nullptr) {
     m->counter("streaming.cells")->add(1);
@@ -172,7 +157,6 @@ StreamingBatchResult StreamingExecutor::stream(const std::vector<Tensor<std::int
   StreamingBatchResult result;
   result.design_name = design_name_;
   result.depth = depth;
-  result.programmed_fast_path = programmed_fast_path_;
   result.images.resize(images.size());
   for (auto& img : result.images) img.layer_stats.resize(depth);
   if (n_images == 0) return result;
@@ -247,7 +231,6 @@ StreamingBatchResult StreamingExecutor::stream_layer_major(
   StreamingBatchResult result;
   result.design_name = design_name_;
   result.depth = depth;
-  result.programmed_fast_path = programmed_fast_path_;
   result.images.resize(n);
   for (auto& img : result.images) img.layer_stats.resize(depth);
   if (n == 0) return result;
@@ -260,15 +243,8 @@ StreamingBatchResult StreamingExecutor::stream_layer_major(
         i == 0 ? std::span<const Tensor<std::int32_t>>(images)
                : std::span<const Tensor<std::int32_t>>(current);
     std::vector<arch::RunStats> stage_stats;
-    std::vector<Tensor<std::int32_t>> outs;
-    if (programmed_[i] != nullptr) {
-      outs = programmed_[i]->run_batch(ins, &stage_stats, opts.threads);
-    } else {
-      stage_stats.assign(n, {});
-      outs.reserve(n);
-      for (std::size_t k = 0; k < n; ++k)
-        outs.push_back(design_->run(stack_[i], ins[k], kernels_[i], &stage_stats[k]));
-    }
+    std::vector<Tensor<std::int32_t>> outs =
+        programmed_[i]->run_batch(ins, &stage_stats, opts.threads);
     for (std::size_t k = 0; k < n; ++k) {
       if (opts.check) check_stage(i, ins[k], stage_stats[k], static_cast<std::int64_t>(k));
       result.images[k].layer_stats[i] = stage_stats[k];

@@ -1,7 +1,7 @@
 // Streaming batched execution engine.
 //
-// The paper evaluates one image at a time: every Design::run() call rebuilds
-// and reprograms the layer's crossbars before executing. A deployed
+// The paper evaluates one image at a time: every Design::run() call programs
+// the layer's crossbars afresh before executing. A deployed
 // accelerator does the opposite — weights stay resident (programming is paid
 // once, see arch/programming.h) and many inputs stream through the same
 // programmed stack. This engine is that serving path: it programs a whole
@@ -42,8 +42,7 @@ struct StreamingOptions {
   /// zero-padding output rows, and the input bind) into up to `threads`
   /// chunks via ProgrammedLayer::run. Pool lanes left idle by a short wave —
   /// a one-image request has one cell per wave — take chunks of whichever
-  /// cell is still running. Fallback stages (Design::run) tile by
-  /// DesignConfig::threads instead. Results are bit-identical for any value.
+  /// cell is still running. Results are bit-identical for any value.
   int threads = 1;
   /// Cross-check every (image, stage) execution against the analytic
   /// activity model (sim::consistency_issues); throws MismatchError on any
@@ -63,10 +62,6 @@ struct StreamingBatchResult {
   std::size_t depth = 0;  ///< pipeline stages
   std::vector<StreamingImageResult> images;
   arch::RunStats total;  ///< per-image totals summed in image order
-  /// True when every stage executed on a programmed fast path
-  /// (Design::program); false means at least one stage fell back to
-  /// reprogram-per-image Design::run.
-  bool programmed_fast_path = false;
 
   /// Wall-clock duration of each wavefront (pipelined schedule only; empty
   /// for the layer-major schedule). Non-deterministic, unlike every tensor
@@ -96,10 +91,9 @@ struct StreamingBatchResult {
 class StreamingExecutor {
  public:
   /// The stack must chain (workloads::validate_stack) and kernels[i] must
-  /// have stack[i]'s kernel shape. Stages without a programmed fast path
-  /// (or any stage when cfg enables device variation, which programs
-  /// per-run) fall back to Design::run per image — same results, no
-  /// pay-once amortization. Convenience wrapper: compiles the stack plan and
+  /// have stack[i]'s kernel shape. A config with device variation programs
+  /// every stage with it once, so each image streams bit-identically to a
+  /// per-image Design::run. Convenience wrapper: compiles the stack plan and
   /// delegates to the plan-consuming constructor.
   StreamingExecutor(core::DesignKind kind, const arch::DesignConfig& cfg,
                     std::vector<nn::DeconvLayerSpec> stack,
@@ -117,7 +111,6 @@ class StreamingExecutor {
 
   [[nodiscard]] std::size_t depth() const { return stack_.size(); }
   [[nodiscard]] const std::string& design_name() const { return design_name_; }
-  [[nodiscard]] bool programmed_fast_path() const { return programmed_fast_path_; }
   [[nodiscard]] const std::vector<nn::DeconvLayerSpec>& stack() const { return stack_; }
   /// The compiled mapping this executor runs.
   [[nodiscard]] const plan::StackPlan& stack_plan() const { return plan_; }
@@ -144,9 +137,8 @@ class StreamingExecutor {
 
   /// Faulted sibling executor: every programmed stage is replaced by its
   /// ProgrammedLayer::faulted() copy (stage index = fault salt, so stacked
-  /// layers draw independent masks from one model). Requires the programmed
-  /// fast path on every stage — throws ConfigError otherwise, since a
-  /// reprogram-per-image fallback cannot hold a persistent fault mask. When
+  /// layers draw independent masks from one model). Faults inject into clean
+  /// levels, so a config with device variation throws ConfigError. When
   /// `reports` is non-null it receives one RepairReport per stage.
   /// Deterministic in model.seed and thread-invariant, like the injection
   /// itself. The clean executor stays untouched and usable as the oracle.
@@ -162,9 +154,9 @@ class StreamingExecutor {
   void check_stage(std::size_t stage, const Tensor<std::int32_t>& input,
                    const arch::RunStats& stats, std::int64_t image) const;
 
-  /// Execute stage `stage` on `input` (programmed path on opts.threads
-  /// lanes, or fallback), consistency-checking when opts.check. `image` only
-  /// labels error messages.
+  /// Execute stage `stage` on `input` on opts.threads lanes,
+  /// consistency-checking when opts.check. `image` only labels error
+  /// messages.
   [[nodiscard]] Tensor<std::int32_t> run_stage(std::size_t stage,
                                                const Tensor<std::int32_t>& input,
                                                arch::RunStats& stats,
@@ -173,12 +165,9 @@ class StreamingExecutor {
 
   plan::StackPlan plan_;  ///< owns the config (plan_.cfg) and per-stage plans
   std::vector<nn::DeconvLayerSpec> stack_;  ///< per-stage specs, for the stack() API
-  std::vector<Tensor<std::int32_t>> kernels_;
-  std::unique_ptr<arch::Design> design_;
   std::string design_name_;
   std::vector<const char*> span_names_;  ///< per-stage layer names (telemetry::intern)
-  std::vector<std::unique_ptr<arch::ProgrammedLayer>> programmed_;  ///< null = fallback
-  bool programmed_fast_path_ = false;
+  std::vector<std::unique_ptr<arch::ProgrammedLayer>> programmed_;  ///< one per stage
 };
 
 }  // namespace red::sim

@@ -154,22 +154,5 @@ TEST(ChipPlan, SegmentationOverheadRedVsPaddingFree) {
   EXPECT_FALSE(pf_splan.layers[0].activity.split_macro);
 }
 
-TEST(ChipPlan, LegacyDesignOverloadMatchesPlanOverload) {
-  const auto stack = workloads::dcgan_generator();
-  const auto design = core::make_design(DesignKind::kRed);
-  const auto via_design = plan_chip(*design, stack, chip_with(8, 512));
-  const auto via_plan =
-      plan_chip(plan::plan_stack(DesignKind::kRed, stack, design->config()),
-                chip_with(8, 512));
-  EXPECT_EQ(via_design.required_subarrays, via_plan.required_subarrays);
-  EXPECT_EQ(via_design.fits, via_plan.fits);
-  EXPECT_EQ(via_design.chip_area.value(), via_plan.chip_area.value());
-  ASSERT_EQ(via_design.layers.size(), via_plan.layers.size());
-  for (std::size_t i = 0; i < via_design.layers.size(); ++i) {
-    EXPECT_EQ(via_design.layers[i].bank, via_plan.layers[i].bank) << i;
-    EXPECT_EQ(via_design.layers[i].subarray_begin, via_plan.layers[i].subarray_begin) << i;
-  }
-}
-
 }  // namespace
 }  // namespace red::arch

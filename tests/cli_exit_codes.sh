@@ -123,6 +123,8 @@ rm -f "$TCKPT"
 
 # Sanity: a good invocation still exits 0.
 expect 0 layer --ih 4 --c 4 --m 4
+# Every design hosts fault campaigns, padding-free included.
+expect 0 faults --design pf --ih 4 --c 4 --m 4 --rates 0,0.01 --trials 1 --threads 2
 
 if [ "$FAILED" -ne 0 ]; then
   echo "cli_exit_codes: FAILED" >&2

@@ -16,6 +16,7 @@
 #include "red/common/rng.h"
 #include "red/core/designs.h"
 #include "red/fault/inject.h"
+#include "red/nn/deconv_reference.h"
 #include "red/perf/mvm_kernel.h"
 #include "red/perf/thread_pool.h"
 #include "red/perf/workspace.h"
@@ -24,6 +25,7 @@
 #include "red/workloads/generator.h"
 #include "red/workloads/networks.h"
 #include "red/xbar/crossbar.h"
+#include "red_oracle.h"
 
 namespace red {
 namespace {
@@ -266,10 +268,10 @@ TEST(FastPathEquivalence, PackedKernelsMatchReferenceOnAwkwardShapes) {
 /// RED programmed runs encode each input pixel once at bind time and OR its
 /// planes into every cycle at row offset sc_index * C. Channel counts around
 /// the 64-bit word put those offsets on, across and exactly at word
-/// boundaries; the programmed run must equal RedDesign::run (scalar-tier
-/// oracle) in output and full RunStats for every fold/lookahead schedule,
-/// ADC regime, DAC width, lane budget and dispatch tier.
-TEST(FastPathEquivalence, PrePackedRedRunsMatchDesignRunOnWordStraddlingShapes) {
+/// boundaries; the programmed run must equal the per-cycle walk of
+/// red_oracle.h in output and full RunStats for every fold/lookahead
+/// schedule, ADC regime, DAC width, lane budget and dispatch tier.
+TEST(FastPathEquivalence, PrePackedRedRunsMatchOracleOnWordStraddlingShapes) {
   const ScopedIsa restore;
   std::vector<QuantConfig> quants;
   quants.push_back(QuantConfig{});  // dac_bits 1, negative activations, ideal ADC
@@ -316,9 +318,8 @@ TEST(FastPathEquivalence, PrePackedRedRunsMatchDesignRunOnWordStraddlingShapes) 
           cfg.lookahead_h = sched.h;
           cfg.lookaside_d = sched.d;
           const auto design = core::make_design(core::DesignKind::kRed, cfg);
-          perf::set_mvm_isa(perf::MvmIsa::kScalar);
           arch::RunStats ref_stats;
-          const auto ref = design->run(spec, input, kernel, &ref_stats);
+          const auto ref = testing::red_oracle_run(cfg, spec, input, kernel, &ref_stats);
           if (ref_stats.mvm.adc_clips > 0) ++clipped_runs;
           for (const int lanes : {1, 3}) {
             // A fresh program per budget, so its first run binds on `lanes`.
@@ -465,11 +466,11 @@ TEST(FastPathEquivalence, GemvMatchesReferenceAndScalarOnEveryTier) {
 }
 
 /// Ideal-ADC RED programmed runs add one C x M block GEMV per active
-/// sub-crossbar straight from the bound pixels. Against RedDesign::run
-/// (scalar-tier oracle) in output and full RunStats, for M below, at and
-/// across one vector, every fold/lookahead schedule, both MVM modes, lane
-/// budgets 1 and 3, and every dispatch tier.
-TEST(FastPathEquivalence, IdealRedBlockGemvRunsMatchDesignRun) {
+/// sub-crossbar straight from the bound pixels. Against the per-cycle walk
+/// of red_oracle.h in output and full RunStats, for M below, at and across
+/// one vector, every fold/lookahead schedule, both MVM modes, lane budgets
+/// 1 and 3, and every dispatch tier.
+TEST(FastPathEquivalence, IdealRedBlockGemvRunsMatchOracle) {
   const ScopedIsa restore;
   struct Sched {
     int fold, h, d;
@@ -491,9 +492,8 @@ TEST(FastPathEquivalence, IdealRedBlockGemvRunsMatchDesignRun) {
           cfg.lookahead_h = sched.h;
           cfg.lookaside_d = sched.d;
           const auto design = core::make_design(core::DesignKind::kRed, cfg);
-          perf::set_mvm_isa(perf::MvmIsa::kScalar);
           arch::RunStats ref_stats;
-          const auto ref = design->run(spec, input, kernel, &ref_stats);
+          const auto ref = testing::red_oracle_run(cfg, spec, input, kernel, &ref_stats);
           for (const int lanes : {1, 3}) {
             const auto programmed = design->program(spec, kernel);
             for (const auto isa : kAllIsas) {
@@ -587,9 +587,56 @@ TEST(FastPathEquivalence, PrePackedBindStillRangeChecksAndRecovers) {
     }
     const auto valid = dac_bits == 1 ? good : workloads::make_input(spec, rng, 0, 7);
     arch::RunStats ref_stats, got_stats;
-    const auto ref = design->run(spec, valid, kernel, &ref_stats);
+    const auto ref = testing::red_oracle_run(cfg, spec, valid, kernel, &ref_stats);
     EXPECT_EQ(programmed->run(valid, &got_stats, 2), ref);
     EXPECT_EQ(got_stats, ref_stats);
+  }
+}
+
+/// Zero-padding and padding-free programmed runs on the same word-straddling
+/// channel counts: outputs equal the reference deconvolution and stats pass
+/// the analytic consistency check, for both MVM modes and DAC widths, lane
+/// budgets 1 and 3 (bit-identical to each other) and every dispatch tier.
+TEST(FastPathEquivalence, ZeroPaddingAndPaddingFreeRunsMatchReference) {
+  const ScopedIsa restore;
+  Rng rng(1717);
+  for (const int c : {1, 21, 65}) {
+    const nn::DeconvLayerSpec spec{"straddle", 2, 3, c, 3, 5, 5, 2, 1, 0};
+    for (const int dac_bits : {1, 2}) {
+      arch::DesignConfig cfg;
+      cfg.quant.dac_bits = dac_bits;
+      const std::int32_t lo = dac_bits == 1 ? -128 : 0;
+      auto input = workloads::make_input(spec, rng, lo, 127);
+      for (std::int64_t i = 0; i < input.size(); i += 4) input.data()[i] = 0;
+      const auto kernel = workloads::make_kernel(spec, rng, -128, 127);
+      const auto golden = nn::deconv_reference(spec, input, kernel);
+      for (const bool bit_accurate : {false, true}) {
+        cfg.bit_accurate = bit_accurate;
+        for (const auto kind : {core::DesignKind::kZeroPadding, core::DesignKind::kPaddingFree}) {
+          const auto design = core::make_design(kind, cfg);
+          const auto programmed = design->program(spec, kernel);
+          arch::RunStats first;
+          (void)programmed->run(input, &first);
+          EXPECT_TRUE(
+              sim::consistency_issues(design->activity(spec), first, /*exact_drives=*/false)
+                  .empty())
+              << design->name() << " C=" << c;
+          for (const auto isa : kAllIsas) {
+            perf::set_mvm_isa(isa);
+            for (const int lanes : {1, 3}) {
+              const std::string where = design->name() + " " + perf::mvm_isa_name(isa) +
+                                        " C=" + std::to_string(c) +
+                                        " dac=" + std::to_string(dac_bits) +
+                                        " bit_accurate=" + std::to_string(bit_accurate) +
+                                        " lanes=" + std::to_string(lanes);
+              arch::RunStats got_stats;
+              EXPECT_EQ(programmed->run(input, &got_stats, lanes), golden) << where;
+              EXPECT_EQ(got_stats, first) << where;
+            }
+          }
+        }
+      }
+    }
   }
 }
 

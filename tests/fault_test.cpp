@@ -302,7 +302,8 @@ class FaultCampaignTest : public ::testing::Test {
 };
 
 TEST_F(FaultCampaignTest, ZeroRateIsOracleExactAndRepairNeverHurts) {
-  for (auto kind : {core::DesignKind::kZeroPadding, core::DesignKind::kRed}) {
+  for (auto kind : {core::DesignKind::kZeroPadding, core::DesignKind::kPaddingFree,
+                    core::DesignKind::kRed}) {
     FaultCampaignOptions opts;
     opts.trials = 2;
     const auto points = run_fault_campaign(kind, arch::DesignConfig{}, models(), policy(),
@@ -357,32 +358,36 @@ TEST(FaultStreaming, FaultedExecutorIsDeterministicAndZeroModelExact) {
   const auto stack = workloads::sngan_generator(64);
   const auto kernels = workloads::make_stack_kernels(stack, 11);
   const auto images = workloads::make_input_batch(stack[0], 2, 21);
-  const sim::StreamingExecutor clean(core::DesignKind::kRed, arch::DesignConfig{}, stack,
-                                     kernels);
-  sim::StreamingOptions run_opts;
-  run_opts.check = false;
-  const auto oracle = clean.stream_layer_major(images, run_opts);
+  for (auto kind : {core::DesignKind::kZeroPadding, core::DesignKind::kPaddingFree,
+                    core::DesignKind::kRed}) {
+    const sim::StreamingExecutor clean(kind, arch::DesignConfig{}, stack, kernels);
+    sim::StreamingOptions run_opts;
+    run_opts.check = false;
+    const auto oracle = clean.stream_layer_major(images, run_opts);
 
-  // Zero model: the faulted sibling is the oracle, bit for bit.
-  const auto exact = clean.faulted(FaultModel{}, RepairPolicy{});
-  const auto exact_out = exact->stream_layer_major(images, run_opts);
-  for (std::size_t k = 0; k < images.size(); ++k)
-    EXPECT_EQ(first_mismatch(oracle.images[k].output, exact_out.images[k].output), "");
+    // Zero model: the faulted sibling is the oracle, bit for bit.
+    const auto exact = clean.faulted(FaultModel{}, RepairPolicy{});
+    const auto exact_out = exact->stream_layer_major(images, run_opts);
+    for (std::size_t k = 0; k < images.size(); ++k)
+      EXPECT_EQ(first_mismatch(oracle.images[k].output, exact_out.images[k].output), "")
+          << clean.design_name();
 
-  // A real model: deterministic across calls, per-stage reports populated,
-  // stacked stages draw independent masks (different stage salts).
-  FaultModel m;
-  m.sa0_rate = m.sa1_rate = 0.02;
-  m.seed = 9;
-  std::vector<RepairReport> reports;
-  const auto f1 = clean.faulted(m, RepairPolicy{}, &reports);
-  const auto f2 = clean.faulted(m, RepairPolicy{});
-  const auto o1 = f1->stream_layer_major(images, run_opts);
-  const auto o2 = f2->stream_layer_major(images, run_opts);
-  ASSERT_EQ(reports.size(), stack.size());
-  for (const auto& rep : reports) EXPECT_GT(rep.stuck_cells, 0);
-  for (std::size_t k = 0; k < images.size(); ++k)
-    EXPECT_EQ(first_mismatch(o1.images[k].output, o2.images[k].output), "");
+    // A real model: deterministic across calls, per-stage reports populated,
+    // stacked stages draw independent masks (different stage salts).
+    FaultModel m;
+    m.sa0_rate = m.sa1_rate = 0.02;
+    m.seed = 9;
+    std::vector<RepairReport> reports;
+    const auto f1 = clean.faulted(m, RepairPolicy{}, &reports);
+    const auto f2 = clean.faulted(m, RepairPolicy{});
+    const auto o1 = f1->stream_layer_major(images, run_opts);
+    const auto o2 = f2->stream_layer_major(images, run_opts);
+    ASSERT_EQ(reports.size(), stack.size());
+    for (const auto& rep : reports) EXPECT_GT(rep.stuck_cells, 0) << clean.design_name();
+    for (std::size_t k = 0; k < images.size(); ++k)
+      EXPECT_EQ(first_mismatch(o1.images[k].output, o2.images[k].output), "")
+          << clean.design_name();
+  }
 }
 
 TEST(FaultStreaming, StackCampaignHonorsTheSameGates) {
@@ -403,22 +408,27 @@ TEST(FaultStreaming, StackCampaignHonorsTheSameGates) {
   pol.spare_cols = 64;
   FaultCampaignOptions opts;
   opts.trials = 2;
-  const auto points = run_fault_campaign_stack(core::DesignKind::kRed, arch::DesignConfig{},
-                                               {FaultModel{}, hot}, pol, stack, kernels,
-                                               images, opts);
-  ASSERT_EQ(points.size(), 2u);
-  for (const auto& t : points[0].trials) {
-    EXPECT_TRUE(t.unrepaired.score.exact());
-    EXPECT_TRUE(t.repaired.score.exact());
+  for (auto kind : {core::DesignKind::kZeroPadding, core::DesignKind::kPaddingFree,
+                    core::DesignKind::kRed}) {
+    const auto name = core::kind_to_name(kind);
+    const auto points = run_fault_campaign_stack(kind, arch::DesignConfig{},
+                                                 {FaultModel{}, hot}, pol, stack, kernels,
+                                                 images, opts);
+    ASSERT_EQ(points.size(), 2u);
+    for (const auto& t : points[0].trials) {
+      EXPECT_TRUE(t.unrepaired.score.exact()) << name;
+      EXPECT_TRUE(t.repaired.score.exact()) << name;
+    }
+    for (const auto& t : points[1].trials) {
+      EXPECT_GT(t.unrepaired.repair.wordline_faults + t.unrepaired.repair.bitline_faults, 0)
+          << name;
+      EXPECT_EQ(t.repaired.repair.unrepaired_wordlines, 0) << name;
+      EXPECT_EQ(t.repaired.repair.unrepaired_bitlines, 0) << name;
+      EXPECT_TRUE(t.repaired.score.exact()) << name;
+    }
+    for (const auto& p : points) EXPECT_TRUE(p.repaired_not_worse()) << name;
+    EXPECT_GT(points[1].mean_mse(false), 0.0) << name;
   }
-  for (const auto& t : points[1].trials) {
-    EXPECT_GT(t.unrepaired.repair.wordline_faults + t.unrepaired.repair.bitline_faults, 0);
-    EXPECT_EQ(t.repaired.repair.unrepaired_wordlines, 0);
-    EXPECT_EQ(t.repaired.repair.unrepaired_bitlines, 0);
-    EXPECT_TRUE(t.repaired.score.exact());
-  }
-  for (const auto& p : points) EXPECT_TRUE(p.repaired_not_worse());
-  EXPECT_GT(points[1].mean_mse(false), 0.0);
 }
 
 TEST(FaultOpt, SpareLinesAxisMaterializesIntoRepairBudget) {

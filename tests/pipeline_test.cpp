@@ -85,8 +85,7 @@ ChipConfig test_chip() {
 
 TEST(Chip, PlanCountsSubarraysPerDesign) {
   const auto stack = workloads::sngan_generator();
-  const auto red = core::make_design(core::DesignKind::kRed);
-  const auto plan = plan_chip(*red, stack, test_chip());
+  const auto plan = plan_chip(plan::plan_stack(core::DesignKind::kRed, stack, {}), test_chip());
   ASSERT_EQ(plan.layers.size(), stack.size());
   EXPECT_GT(plan.required_subarrays, 0);
   EXPECT_EQ(plan.available_subarrays, 8 * 512);
@@ -100,7 +99,8 @@ TEST(Chip, PlanCountsSubarraysPerDesign) {
 TEST(Chip, UtilizationWithinUnitInterval) {
   const auto stack = workloads::fcn8s_upsampling();
   for (const auto& design : core::make_all_designs()) {
-    const auto plan = plan_chip(*design, stack, test_chip());
+    const auto plan =
+        plan_chip(plan::plan_stack(design->kind(), stack, design->config()), test_chip());
     EXPECT_GT(plan.cell_utilization(), 0.0) << design->name();
     EXPECT_LE(plan.cell_utilization(), 1.0) << design->name();
   }
@@ -110,17 +110,20 @@ TEST(Chip, SmallChipDoesNotFitLargeNetwork) {
   ChipConfig tiny;
   tiny.banks = 1;
   tiny.subarrays_per_bank = 4;
-  const auto red = core::make_design(core::DesignKind::kRed);
-  const auto plan = plan_chip(*red, workloads::dcgan_generator(), tiny);
+  const auto plan =
+      plan_chip(plan::plan_stack(core::DesignKind::kRed, workloads::dcgan_generator(), {}), tiny);
   EXPECT_FALSE(plan.fits);
   EXPECT_GT(plan.occupancy(), 1.0);
 }
 
 TEST(Chip, FcnLayersWasteCellsOnTinyChannels) {
   // 21-channel FCN macros under-fill 128x128 subarrays; GAN macros fill them.
-  const auto red = core::make_design(core::DesignKind::kRed);
-  const auto fcn = plan_chip(*red, {workloads::fcn_deconv1()}, test_chip());
-  const auto gan = plan_chip(*red, {workloads::gan_deconv3()}, test_chip());
+  const auto fcn =
+      plan_chip(plan::plan_stack(core::DesignKind::kRed, {workloads::fcn_deconv1()}, {}),
+                test_chip());
+  const auto gan =
+      plan_chip(plan::plan_stack(core::DesignKind::kRed, {workloads::gan_deconv3()}, {}),
+                test_chip());
   EXPECT_LT(fcn.cell_utilization(), 0.5);  // 84x84 groups in 128x128 tiles
   EXPECT_GT(gan.cell_utilization(), 0.9);
   EXPECT_LT(fcn.cell_utilization(), gan.cell_utilization());
@@ -129,20 +132,20 @@ TEST(Chip, FcnLayersWasteCellsOnTinyChannels) {
 TEST(Chip, RedNeedsMoreSubarraysThanZeroPadding) {
   // Segmentation: RED's per-SC decoders cannot share subarrays.
   const auto stack = workloads::dcgan_generator();
-  const auto zp = plan_chip(*core::make_design(core::DesignKind::kZeroPadding), stack,
-                            test_chip());
-  const auto red = plan_chip(*core::make_design(core::DesignKind::kRed), stack, test_chip());
+  const auto zp =
+      plan_chip(plan::plan_stack(core::DesignKind::kZeroPadding, stack, {}), test_chip());
+  const auto red = plan_chip(plan::plan_stack(core::DesignKind::kRed, stack, {}), test_chip());
   EXPECT_GE(red.required_subarrays, zp.required_subarrays);
 }
 
 TEST(Chip, ConfigValidation) {
   ChipConfig bad = test_chip();
   bad.banks = 0;
-  const auto red = core::make_design(core::DesignKind::kRed);
-  EXPECT_THROW((void)plan_chip(*red, {workloads::gan_deconv3()}, bad), ConfigError);
+  const auto splan = plan::plan_stack(core::DesignKind::kRed, {workloads::gan_deconv3()}, {});
+  EXPECT_THROW((void)plan_chip(splan, bad), ConfigError);
   bad = test_chip();
   bad.global_buffer_bits = 0;
-  EXPECT_THROW((void)plan_chip(*red, {workloads::gan_deconv3()}, bad), ConfigError);
+  EXPECT_THROW((void)plan_chip(splan, bad), ConfigError);
 }
 
 }  // namespace

@@ -114,12 +114,12 @@ TEST(Plan, ProgramFromPlanBitIdenticalToRun) {
   Rng rng(11);
   const auto input = workloads::make_input(spec, rng, 1, 7);
   const auto kernel = workloads::make_kernel(spec, rng, -7, 7);
-  for (DesignKind kind : {DesignKind::kZeroPadding, DesignKind::kRed}) {
+  for (DesignKind kind :
+       {DesignKind::kZeroPadding, DesignKind::kPaddingFree, DesignKind::kRed}) {
     const arch::DesignConfig cfg;
     const auto design = core::make_design(kind, cfg);
     const auto lp = plan::plan_layer(kind, spec, cfg);
     const auto programmed = design->program(lp, kernel);
-    ASSERT_NE(programmed, nullptr);
     arch::RunStats programmed_stats, run_stats;
     const auto out_programmed = programmed->run(input, &programmed_stats);
     const auto out_run = design->run(spec, input, kernel, &run_stats);
@@ -196,7 +196,6 @@ TEST(Plan, StreamingFromStackPlanBitIdentical) {
   const auto b = from_plan.stream(images, opts);
   ASSERT_EQ(a.images.size(), b.images.size());
   EXPECT_EQ(a.total, b.total);
-  EXPECT_EQ(a.programmed_fast_path, b.programmed_fast_path);
   for (std::size_t k = 0; k < a.images.size(); ++k) {
     EXPECT_TRUE(first_mismatch(a.images[k].output, b.images[k].output).empty()) << k;
     EXPECT_EQ(a.images[k].total, b.images[k].total) << k;
@@ -226,17 +225,6 @@ TEST(PlanFingerprint, StableAndDiscriminating) {
   auto spec3 = spec;
   spec3.name = "renamed";
   EXPECT_EQ(base.fingerprint(), plan::plan_layer(DesignKind::kRed, spec3, cfg3).fingerprint());
-}
-
-TEST(PlanFingerprint, SweepKeyIsThePlanKey) {
-  // The sweep memo key and the plan structural key are one function; the
-  // legacy entry point must stay byte-equal (its framing regression test in
-  // analog_fast_path_test.cpp now guards the shared implementation).
-  const auto spec = workloads::gan_deconv3();
-  arch::DesignConfig cfg;
-  cfg.node = tech::TechNode::node45();
-  EXPECT_EQ(explore::sweep_key(DesignKind::kRed, cfg, spec),
-            plan::structural_key(DesignKind::kRed, cfg, spec));
 }
 
 TEST(PlanFingerprint, StackFingerprintFramesLayerKeys) {

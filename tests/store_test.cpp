@@ -19,6 +19,7 @@
 #include "red/common/error.h"
 #include "red/explore/sweep.h"
 #include "red/opt/optimizer.h"
+#include "red/plan/plan.h"
 #include "red/store/interrupt.h"
 #include "red/store/io.h"
 #include "red/store/result_store.h"
@@ -286,7 +287,7 @@ TEST_F(StoreTest, SweepDriverTreatsCorruptPayloadAsAMiss) {
     // CRC layer accepts them, the codec rejects them, the driver recomputes.
     store::ResultStore s(p);
     for (const auto& pt : small_grid())
-      s.put(explore::sweep_key(pt.kind, pt.cfg, pt.spec), "junk payload");
+      s.put(plan::structural_key(pt.kind, pt.cfg, pt.spec), "junk payload");
   }
   explore::SweepDriver driver(1);
   driver.attach_store(std::make_shared<store::ResultStore>(p));

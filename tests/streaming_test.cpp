@@ -58,9 +58,6 @@ TEST(Streaming, BitIdenticalToPerImageSimulateNetworkForEveryDesign) {
     opts.threads = 3;
     const auto streamed = executor.stream(images, opts);
     ASSERT_EQ(streamed.images.size(), images.size());
-    // Padding-free has no programmed fast path; the executor must say so
-    // (and still match bit-exactly through the fallback).
-    EXPECT_EQ(streamed.programmed_fast_path, kind != core::DesignKind::kPaddingFree);
 
     const auto design = core::make_design(kind, cfg);
     arch::RunStats batch_total;
@@ -143,13 +140,13 @@ TEST(Streaming, OneImageBudgetSpentInsideTheStageIsBitIdentical) {
   const auto kernels = workloads::make_stack_kernels(stack, 13);
   const auto images = workloads::make_input_batch(stack[0], 1, 17);
   const arch::DesignConfig cfg;
-  for (auto kind : {core::DesignKind::kRed, core::DesignKind::kZeroPadding}) {
+  for (auto kind : {core::DesignKind::kRed, core::DesignKind::kZeroPadding,
+                    core::DesignKind::kPaddingFree}) {
     const auto splan = plan::plan_stack(kind, stack, cfg);
     if (kind == core::DesignKind::kRed) {
       ASSERT_GE(splan.layers.back().groups.size(), 16u);
     }
     const StreamingExecutor executor(splan, kernels);
-    ASSERT_TRUE(executor.programmed_fast_path());
 
     const auto design = core::make_design(kind, cfg);
     const auto inputs = chained_inputs(*design, stack, kernels, images[0], cfg.quant.abits);
@@ -178,6 +175,43 @@ TEST(Streaming, OneImageBudgetSpentInsideTheStageIsBitIdentical) {
         EXPECT_EQ(result.total, expected_total) << design->name() << " at " << threads;
       }
     }
+  }
+}
+
+TEST(Streaming, VariationConfigStreamsLikePerImageDesignRuns) {
+  // Device variation is programmed into every stage once, from scratch with
+  // the config's seed — exactly what each per-image Design::run programs —
+  // so the stream is bit-identical to the per-image chain. Faults inject into
+  // clean levels only, so faulted() refuses a varied executor.
+  const auto stack = tiny_stack();
+  const auto kernels = workloads::make_stack_kernels(stack, 19);
+  const auto images = workloads::make_input_batch(stack[0], 2, 23);
+  arch::DesignConfig cfg;
+  cfg.quant.variation.level_sigma = 0.4;
+  cfg.quant.variation.stuck_at_rate = 0.01;
+  cfg.quant.variation.seed = 5;
+  for (auto kind : {core::DesignKind::kZeroPadding, core::DesignKind::kPaddingFree,
+                    core::DesignKind::kRed}) {
+    const StreamingExecutor executor(kind, cfg, stack, kernels);
+    StreamingOptions opts;
+    opts.threads = 2;
+    const auto streamed = executor.stream(images, opts);
+    const auto design = core::make_design(kind, cfg);
+    for (std::size_t k = 0; k < images.size(); ++k) {
+      Tensor<std::int32_t> x = images[k];
+      for (std::size_t i = 0; i < stack.size(); ++i) {
+        arch::RunStats stats;
+        Tensor<std::int32_t> y = design->run(stack[i], x, kernels[i], &stats);
+        EXPECT_EQ(streamed.images[k].layer_stats[i], stats)
+            << design->name() << " image " << k << " stage " << i;
+        x = i + 1 < stack.size() ? requantize_activations(y, cfg.quant.abits) : std::move(y);
+      }
+      EXPECT_EQ(first_mismatch(x, streamed.images[k].output), "")
+          << design->name() << " image " << k;
+    }
+    EXPECT_THROW((void)executor.faulted(fault::FaultModel{}, fault::RepairPolicy{}),
+                 ConfigError)
+        << design->name();
   }
 }
 
@@ -216,10 +250,10 @@ TEST(ProgrammedLayer, RunBatchMatchesSequentialRuns) {
     Rng irng(50 + static_cast<std::uint64_t>(k));
     inputs.push_back(workloads::make_input(spec, irng, 0, 7));
   }
-  for (auto kind : {core::DesignKind::kZeroPadding, core::DesignKind::kRed}) {
+  for (auto kind : {core::DesignKind::kZeroPadding, core::DesignKind::kPaddingFree,
+                    core::DesignKind::kRed}) {
     const auto design = core::make_design(kind);
     const auto programmed = design->program(spec, kernel);
-    ASSERT_NE(programmed, nullptr);
     std::vector<arch::RunStats> batch_stats;
     const auto outputs = programmed->run_batch(inputs, &batch_stats);
     ASSERT_EQ(outputs.size(), inputs.size());
@@ -243,10 +277,10 @@ TEST(ProgrammedLayer, RebindingAnEarlierInputMatchesFreshDesignRuns) {
   const auto a = workloads::make_input(spec, rng_a, 0, 7);
   const auto b = workloads::make_input(spec, rng_b, 0, 7);
   ASSERT_FALSE(a == b);
-  for (auto kind : {core::DesignKind::kZeroPadding, core::DesignKind::kRed}) {
+  for (auto kind : {core::DesignKind::kZeroPadding, core::DesignKind::kPaddingFree,
+                    core::DesignKind::kRed}) {
     const auto design = core::make_design(kind);
     const auto programmed = design->program(spec, kernel);
-    ASSERT_NE(programmed, nullptr);
     for (int threads : {1, 3}) {
       int step = 0;
       for (const Tensor<std::int32_t>* input : {&a, &b, &a}) {

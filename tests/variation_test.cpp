@@ -1,6 +1,7 @@
 // Tests for device variation and stuck-at fault injection.
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "red/common/error.h"
@@ -197,6 +198,45 @@ TEST(Variation, RedDesignDegradesGracefullyUnderNoise) {
     EXPECT_GT(err_red / err_zp, 1.0 / 3.0) << sigma;
     EXPECT_GT(err_red, prev);  // ordered in sigma
     prev = err_red;
+  }
+}
+
+TEST(Variation, VariedRunsAreThreadInvariantAndShareOneProgramming) {
+  // A config with variation programs its perturbed cells once; every lane
+  // budget, and concurrent runs sharing that programming (and its input
+  // binding), reproduce the serial run bit for bit.
+  const nn::DeconvLayerSpec spec{"varied", 5, 4, 8, 5, 4, 4, 2, 1, 0};
+  Rng rng(19);
+  const auto input = workloads::make_input(spec, rng, 1, 7);
+  const auto kernel = workloads::make_kernel(spec, rng, -20, 20);
+  const auto golden = nn::deconv_reference(spec, input, kernel);
+  for (auto kind : {core::DesignKind::kZeroPadding, core::DesignKind::kPaddingFree,
+                    core::DesignKind::kRed}) {
+    arch::DesignConfig cfg;
+    cfg.quant.variation.level_sigma = 0.6;
+    cfg.quant.variation.stuck_at_rate = 0.02;
+    cfg.quant.variation.seed = 3;
+    arch::RunStats serial_stats;
+    const auto serial =
+        core::make_design(kind, cfg)->run(spec, input, kernel, &serial_stats);
+    EXPECT_GT(normalized_rmse(golden, serial), 0.0) << core::kind_to_name(kind);
+    cfg.threads = 3;
+    const auto design = core::make_design(kind, cfg);
+    arch::RunStats threaded_stats;
+    EXPECT_EQ(design->run(spec, input, kernel, &threaded_stats), serial);
+    EXPECT_EQ(threaded_stats, serial_stats);
+
+    const auto programmed = design->program(spec, kernel);
+    std::vector<Tensor<std::int32_t>> outs(3);
+    std::vector<arch::RunStats> stats(3);
+    std::vector<std::thread> callers;
+    for (std::size_t t = 0; t < outs.size(); ++t)
+      callers.emplace_back([&, t] { outs[t] = programmed->run(input, &stats[t], 2); });
+    for (auto& c : callers) c.join();
+    for (std::size_t t = 0; t < outs.size(); ++t) {
+      EXPECT_EQ(outs[t], serial) << core::kind_to_name(kind) << " caller " << t;
+      EXPECT_EQ(stats[t], serial_stats) << core::kind_to_name(kind) << " caller " << t;
+    }
   }
 }
 

@@ -69,7 +69,8 @@ commands:
             fingerprint [--chip [--banks N] [--bank-subarrays N]]
             [--json] [--out FILE]
   throughput  stream a batch through a programmed stack [--images N]
-              [--div N] [--threads N] [--no-check] (reports fill, interval, img/s)
+              [--div N (GAN stacks)] [--threads N] [--no-check]
+              (reports fill, interval, img/s)
   sweep     Pareto grid over fold x mux [--folds 1,2,4,8] [--muxes 4,8,16] [--threads N]
             [--store FILE]  (persistent evaluation cache, shared with optimize)
             [--json] [--out FILE]  (full SweepStats + StoreReport counters)
@@ -857,11 +858,10 @@ int cmd_throughput(const Flags& flags) {
   const auto result = executor.stream(images, opts);
 
   const auto model = sim::evaluate_pipeline(kind, stack, cfg);
-  std::cout << net << " (div " << div << ") on " << result.design_name << ": "
-            << images_n << " images through " << result.depth << " stages, "
-            << opts.threads << " stage lanes"
-            << (result.programmed_fast_path ? ", programmed once"
-                                            : ", reprogram-per-image fallback")
+  // named_stack scales only the GAN stacks by --div; fcn8s is fixed-size.
+  std::cout << net << (net == "fcn8s" ? "" : " (div " + std::to_string(div) + ")") << " on "
+            << result.design_name << ": " << images_n << " images through " << result.depth
+            << " stages, " << opts.threads << " stage lanes"
             << (opts.check ? ", activity-checked" : "") << '\n';
   const double img_per_s = result.wall_ms > 0.0 ? 1e3 * images_n / result.wall_ms : 0.0;
   std::cout << "measured: batch " << format_double(result.wall_ms, 2) << " ms, fill "
